@@ -16,10 +16,11 @@ is plain text by default, JSON with ``--format json``.  Exit codes:
 0 success, 2 bad input, 3 budget exceeded, 4 unstable coefficients,
 70 internal invariant breach.
 
-Budgets may be set per-invocation (``--max-width``, ``--max-crossings``,
-``--max-network``, ``--time-limit``) or by environment variables
-(SKEINKIT_MAX_WIDTH, SKEINKIT_MAX_CROSSINGS, SKEINKIT_MAX_NETWORK,
-SKEINKIT_TIME_LIMIT).
+Two budgets apply: ``--max-width`` (open strand-ends during a sweep)
+and ``--time-limit`` (wall-clock seconds).  SKEINKIT_MAX_WIDTH and
+SKEINKIT_TIME_LIMIT give their defaults; a flag wins over the
+environment.  Library calls read no budget from the environment: they
+take budgets only as keyword arguments, which this module passes down.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import os
 import signal
 import sys
 
-from . import budgets, diagram, jones, tail
+from . import diagram, jones, tail
 from .errors import (BudgetError, InternalError, SkeinError,
                      StabilizationError)
 from .poly import LaurentPoly, to_q
@@ -109,11 +110,6 @@ def _load_pd(source: str) -> tuple[diagram.PDCode, str]:
         except OSError as exc:
             raise SkeinError(f"cannot read {source}: {exc}") from exc
         pd = diagram.parse_pd(text)
-    limit = budgets.get("max_crossings")
-    if len(pd.crossings) > limit:
-        raise BudgetError("max_crossings", limit,
-                          needed=len(pd.crossings),
-                          detail="input diagram too large")
     return pd, source
 
 
@@ -152,8 +148,8 @@ def _emit(args, text_lines, payload):
 
 def _cmd_bracket(args) -> int:
     pd, label = _load_pd(args.source)
-    with _Timeout(budgets.get("time_limit")):
-        b = jones.bracket(pd)
+    with _Timeout(args.time_limit):
+        b = jones.bracket(pd, max_width=args.max_width)
     _emit(args, [str(b)],
           {"command": "bracket", "input": label,
            "A_polynomial": a_polynomial_json(b)})
@@ -162,8 +158,8 @@ def _cmd_bracket(args) -> int:
 
 def _poly_command(args, color: int, command: str) -> int:
     pd, label = _load_pd(args.source)
-    with _Timeout(budgets.get("time_limit")):
-        v = jones.reduced_colored(pd, color)
+    with _Timeout(args.time_limit):
+        v = jones.reduced_colored(pd, color, max_width=args.max_width)
     payload = {"command": command, "input": label, "color": color}
     payload.update(q_series_json(v))
     payload["A_polynomial"] = a_polynomial_json(v)
@@ -199,8 +195,9 @@ def _cmd_tail(args) -> int:
     if args.terms < 1:
         raise SkeinError("--terms must be a positive integer")
     pd, label = _load_pd(args.source)
-    with _Timeout(budgets.get("time_limit")):
-        coeffs = tail.tail_extract(pd, args.terms, side=args.side)
+    with _Timeout(args.time_limit):
+        coeffs = tail.tail_extract(pd, args.terms, side=args.side,
+                                   max_width=args.max_width)
     _emit(args, [" ".join(str(c) for c in coeffs)],
           {"command": "tail", "input": label, "side": args.side,
            "terms": args.terms, "coefficients": coeffs})
@@ -211,8 +208,9 @@ def _cmd_verify_stability(args) -> int:
     if args.max < 3:
         raise SkeinError("--max must be at least 3")
     pd, label = _load_pd(args.source)
-    with _Timeout(budgets.get("time_limit")):
-        rep = tail.stabilization_check(pd, args.max)
+    with _Timeout(args.time_limit):
+        rep = tail.stabilization_check(pd, args.max,
+                                       max_width=args.max_width)
     lines = []
     for r in rep.records:
         if r.verdict:
@@ -256,14 +254,15 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="catalog:NAME or path to a PD text file")
     common.add_argument("--format", choices=("text", "json"),
                         default="text")
-    common.add_argument("--max-width", type=int, default=None,
-                        help="sweep width budget")
-    common.add_argument("--max-crossings", type=int, default=None,
-                        help="input size budget")
-    common.add_argument("--max-network", type=int, default=None,
-                        help="network expansion budget")
-    common.add_argument("--time-limit", type=float, default=None,
-                        help="wall-clock seconds")
+    # argparse runs a string default through ``type``, so a malformed
+    # environment value is a usage error (exit 2)
+    common.add_argument("--max-width", type=int,
+                        default=os.environ.get("SKEINKIT_MAX_WIDTH")
+                        or diagram.MAX_WIDTH,
+                        help="sweep width budget (SKEINKIT_MAX_WIDTH)")
+    common.add_argument("--time-limit", type=float,
+                        default=os.environ.get("SKEINKIT_TIME_LIMIT") or None,
+                        help="wall-clock seconds (SKEINKIT_TIME_LIMIT)")
 
     p = sub.add_parser("bracket", parents=[common],
                        help="Kauffman bracket")
@@ -300,20 +299,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-_BUDGET_ENV = {"max_width": "SKEINKIT_MAX_WIDTH",
-               "max_crossings": "SKEINKIT_MAX_CROSSINGS",
-               "max_network": "SKEINKIT_MAX_NETWORK",
-               "time_limit": "SKEINKIT_TIME_LIMIT"}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    saved = {}
-    for attr, env in _BUDGET_ENV.items():
-        val = getattr(args, attr, None)
-        if val is not None:
-            saved[env] = os.environ.get(env)
-            os.environ[env] = str(val)
     try:
         return args.fn(args)
     except BudgetError as exc:
@@ -334,12 +321,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        for env, old in saved.items():
-            if old is None:
-                os.environ.pop(env, None)
-            else:
-                os.environ[env] = old
 
 
 if __name__ == "__main__":

@@ -31,7 +31,6 @@ import re
 from importlib import resources
 from typing import Iterable, Optional, Sequence, Union
 
-from . import budgets
 from .errors import BudgetError, InternalError, PDError
 
 Crossing = tuple[int, int, int, int]
@@ -70,9 +69,6 @@ class PDCode:
 
     def __str__(self) -> str:
         return format_pd(self)
-
-    def validate(self) -> "DiagramInfo":
-        return analyze(self)
 
 
 _TOKEN = re.compile(
@@ -288,11 +284,6 @@ def analyze(pd: PDCode) -> DiagramInfo:
         writhe=sum(signs),
         comp_of_arc=comp_of_arc,
     )
-
-
-def validate(pd: PDCode) -> DiagramInfo:
-    """Alias for :func:`analyze`."""
-    return analyze(pd)
 
 
 def writhe(pd: PDCode) -> int:
@@ -651,6 +642,10 @@ def cable(pd: PDCode, r: int) -> PDCode:
 # ---------------------------------------------------------------------------
 # sweep plans
 
+# Default cap on open strand-ends during a sweep; live states grow as
+# Catalan(width/2).
+MAX_WIDTH = 40
+
 
 @dataclasses.dataclass(frozen=True)
 class SweepOp:
@@ -682,16 +677,14 @@ class SweepPlan:
 
 def plan_sweep(pd: PDCode,
                order: Optional[Sequence[int]] = None,
-               max_width: Optional[int] = None) -> SweepPlan:
+               max_width: int = MAX_WIDTH) -> SweepPlan:
     """Choose a crossing order and precompile the sweep bookkeeping.
 
     Without an explicit order, a greedy heuristic repeatedly inserts the
     crossing that minimizes the resulting number of open strand-ends.
-    Raises BudgetError when the peak width exceeds the ``max_width``
-    budget (argument, else SKEINKIT_MAX_WIDTH, else default).
+    Raises BudgetError when the peak width exceeds ``max_width``.
     """
     analyze(pd)
-    limit = budgets.get("max_width", max_width)
     n = len(pd.crossings)
     occ = _port_scan(pd)
 
@@ -777,8 +770,8 @@ def plan_sweep(pd: PDCode,
         open_list = [frame[i] for i in keep]
     if open_list:
         raise InternalError(f"sweep left open ends: {open_list}")
-    if peak > limit:
-        raise BudgetError("max_width", limit, needed=peak,
+    if peak > max_width:
+        raise BudgetError("max_width", max_width, needed=peak,
                           detail="try another crossing order")
     return SweepPlan(pd=pd, order=tuple(order), ops=tuple(ops),
                      max_width=peak)

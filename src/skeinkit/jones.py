@@ -21,7 +21,7 @@ import functools
 import itertools
 from typing import Optional, Sequence
 
-from . import budgets, diagram
+from . import diagram
 from ._kernel import compile_plan, pick_kernel, run_packed
 from ._sweep_py import replay_circles as _replay_packed
 from .errors import BudgetError, InternalError
@@ -37,7 +37,7 @@ def _packed_to_poly(base: int, coeffs: Sequence[int]) -> LaurentPoly:
 def bracket(pd: diagram.PDCode,
             plan: Optional[diagram.SweepPlan] = None,
             order: Optional[Sequence[int]] = None,
-            max_width: Optional[int] = None,
+            max_width: int = diagram.MAX_WIDTH,
             kernel=None) -> LaurentPoly:
     """Kauffman-style bracket of a diagram: loop value -A^2-A^-2,
     empty diagram 1, A-smoothing weight A.
@@ -61,22 +61,18 @@ def bracket(pd: diagram.PDCode,
     return out
 
 
-sweep_bracket = bracket
-
-
 def brute_force_bracket(pd: diagram.PDCode,
-                        max_crossings: Optional[int] = None) -> LaurentPoly:
+                        max_crossings: int = 20) -> LaurentPoly:
     """The literal state sum: 2^c terms of A^(a-b) * delta^circles.
 
     (Empty-diagram normalization: a lone circle contributes delta, so k
     disjoint circles give delta^k.)  Independent of the sweep machinery —
     circles are counted by union-find, not surgery — so the two evaluators
-    validate each other.  Guarded by the max_crossings budget (default 20).
+    validate each other.  Refuses more than ``max_crossings`` crossings.
     """
     n = len(pd.crossings)
-    limit = budgets.get("max_crossings", max_crossings)
-    if n > limit:
-        raise BudgetError("max_crossings", limit, needed=n)
+    if n > max_crossings:
+        raise BudgetError("max_crossings", max_crossings, needed=n)
     if n == 0:
         return delta(1) ** pd.extra_circles
     diagram.analyze(pd)
@@ -133,7 +129,7 @@ def chebyshev_coefficients(n: int) -> tuple[tuple[int, int], ...]:
 
 @functools.lru_cache(maxsize=256)
 def colored_bracket(pd: diagram.PDCode, n: int,
-                    max_width: Optional[int] = None) -> LaurentPoly:
+                    max_width: int = diagram.MAX_WIDTH) -> LaurentPoly:
     """Bracket of the diagram with every component carrying color n.
 
     Multilinear Chebyshev expansion over per-component cable sizes; the
@@ -159,7 +155,7 @@ def colored_bracket(pd: diagram.PDCode, n: int,
 
 
 def unreduced_colored(pd: diagram.PDCode, color_dim: int,
-                      max_width: Optional[int] = None) -> LaurentPoly:
+                      max_width: int = diagram.MAX_WIDTH) -> LaurentPoly:
     """Framing-corrected colored invariant, unknot -> delta(color_dim - 1).
 
     ``color_dim`` is the number of strand states N >= 1; the cable width
@@ -174,13 +170,13 @@ def unreduced_colored(pd: diagram.PDCode, color_dim: int,
 
 
 def reduced_colored(pd: diagram.PDCode, color_dim: int,
-                    max_width: Optional[int] = None) -> LaurentPoly:
+                    max_width: int = diagram.MAX_WIDTH) -> LaurentPoly:
     """Unreduced form divided (exactly) by the colored unknot value."""
     return exact_divide(unreduced_colored(pd, color_dim, max_width=max_width),
                         delta(color_dim - 1))
 
 
 def jones_polynomial(pd: diagram.PDCode,
-                     max_width: Optional[int] = None) -> LaurentPoly:
+                     max_width: int = diagram.MAX_WIDTH) -> LaurentPoly:
     """The classical case: reduced 2-dimensional invariant, in A."""
     return reduced_colored(pd, 2, max_width=max_width)

@@ -18,7 +18,7 @@ import dataclasses
 import time
 from typing import Union
 
-from .diagram import PDCode
+from .diagram import MAX_WIDTH, PDCode
 from .errors import BudgetError, StabilizationError
 from .jones import reduced_colored
 from .poly import LaurentPoly, QPresentation, to_q
@@ -93,13 +93,15 @@ def dot_eq(p1, p2, n: int) -> tuple[bool, int | None]:
     return ok, mismatch
 
 
-def tail_extract(d: PDCode, k: int, side: str = "tail") -> list[int]:
+def tail_extract(d: PDCode, k: int, side: str = "tail",
+                 max_width: int = MAX_WIDTH) -> list[int]:
     """First k verified-stable coefficients of the tail (or head).
 
     Computes the reduced invariant at colors k and k+1 and confirms
     they agree below q^k before reporting anything; a disagreement
     raises StabilizationError with the witness.  The head is the tail
-    of the mirrored polynomial (q -> 1/q).
+    of the mirrored polynomial (q -> 1/q).  ``max_width`` bounds each
+    sweep, as in :func:`skeinkit.jones.reduced_colored`.
     """
     if k < 1:
         raise ValueError("need k >= 1 coefficients")
@@ -107,7 +109,7 @@ def tail_extract(d: PDCode, k: int, side: str = "tail") -> list[int]:
         raise ValueError(f"side must be 'tail' or 'head', not {side!r}")
 
     def series_at(color_dim: int) -> LaurentPoly:
-        p = reduced_colored(d, color_dim)
+        p = reduced_colored(d, color_dim, max_width=max_width)
         return p.mirror() if side == "head" else p
 
     jk, jk1 = series_at(k), series_at(k + 1)
@@ -151,12 +153,14 @@ class StabilizationReport:
                 "records": [r.as_dict() for r in self.records]}
 
 
-def stabilization_check(d: PDCode, n_max: int) -> StabilizationReport:
+def stabilization_check(d: PDCode, n_max: int,
+                        max_width: int = MAX_WIDTH) -> StabilizationReport:
     """Compare consecutive colors up to n_max.
 
     Each record says whether the reduced invariants at colors N and N+1
-    agree below q^N.  A budget overrun stops the scan and flags the
-    report incomplete rather than raising.
+    agree below q^N.  A budget overrun (``max_width``, or a time limit
+    raised as BudgetError) stops the scan and flags the report
+    incomplete rather than raising.
     """
     if n_max < 3:
         raise ValueError("n_max must be at least 3")
@@ -166,7 +170,7 @@ def stabilization_check(d: PDCode, n_max: int) -> StabilizationReport:
     for color in range(2, n_max + 1):
         t0 = time.monotonic()
         try:
-            cur = reduced_colored(d, color)
+            cur = reduced_colored(d, color, max_width=max_width)
         except BudgetError:
             complete = False
             break

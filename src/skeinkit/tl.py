@@ -28,7 +28,6 @@ import itertools
 from collections import deque
 from typing import Iterator, Sequence
 
-from . import budgets
 from .errors import AdmissibilityError, BudgetError, PDError
 from .poly import LaurentPoly, RationalFn
 from .quantum import delta
@@ -476,7 +475,7 @@ def _port_cycles(net: PlanarNetwork,
 
 
 def network_evaluate(net: PlanarNetwork,
-                     max_network: int | None = None) -> RationalFn:
+                     max_network: int = 2_000_000) -> RationalFn:
     """Exact value of a closed network, by expanding every box.
 
     Each box contributes its idempotent's terms; a full choice of
@@ -485,13 +484,12 @@ def network_evaluate(net: PlanarNetwork,
     max_network budget), so this is an oracle for small inputs, not an
     algorithm.
     """
-    limit = budgets.get("max_network", max_network)
     idems = [jones_wenzl(w) for w in net.boxes]
     size = 1
     for el in idems:
         size *= len(el.terms)
-    if size > limit:
-        raise BudgetError("max_network", limit, needed=size,
+    if size > max_network:
+        raise BudgetError("max_network", max_network, needed=size,
                           detail="network expansion too large")
     # expand wider boxes first so early zero coefficients cut the most
     order = sorted(range(len(idems)),

@@ -10,7 +10,7 @@ from skeinkit.cli import (
     a_polynomial_from_json, a_polynomial_json, main, q_series_from_json,
     q_series_json,
 )
-from skeinkit.diagram import catalog_lookup, catalog_names, format_pd
+from skeinkit.diagram import cable, catalog_lookup, catalog_names, format_pd
 from skeinkit.jones import jones_polynomial, reduced_colored
 from skeinkit.poly import LaurentPoly
 
@@ -134,9 +134,34 @@ def test_exit_code_budget(capsys):
     code, out, err = run(capsys, "bracket", "catalog:6_2",
                          "--max-width", "2")
     assert code == 3 and out == ""
-    code, _, _ = run(capsys, "bracket", "catalog:6_2",
-                     "--max-crossings", "3")
-    assert code == 3
+
+
+def test_width_budget_from_environment(monkeypatch, capsys):
+    monkeypatch.setenv("SKEINKIT_MAX_WIDTH", "2")
+    assert run(capsys, "bracket", "catalog:6_2")[0] == 3
+    assert run(capsys, "bracket", "catalog:6_2",
+               "--max-width", "40")[0] == 0
+
+
+def test_malformed_budget_environment_is_bad_input(monkeypatch, capsys):
+    monkeypatch.setenv("SKEINKIT_MAX_WIDTH", "wide")
+    try:
+        code = main(["bracket", "catalog:3_1"])
+    except SystemExit as exc:      # argparse rejects it before dispatch
+        code = exc.code
+    assert code == 2
+
+
+def test_large_pd_file_is_not_capped_by_crossing_count(tmp_path, capsys):
+    from skeinkit.jones import bracket
+    pd = cable(catalog_lookup("3_1"), 3)
+    assert len(pd.crossings) == 27
+    path = tmp_path / "cable.pd"
+    path.write_text(format_pd(pd) + "\n")
+    code, out, _ = run(capsys, "bracket", str(path), "--format", "json")
+    assert code == 0
+    assert a_polynomial_from_json(json.loads(out)["A_polynomial"]) \
+        == bracket(pd)
 
 
 def test_budget_flags_do_not_leak_into_environment(capsys):

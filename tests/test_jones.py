@@ -70,6 +70,19 @@ def test_bracket_width_budget():
         bracket(catalog_lookup("6_2"), max_width=2)
 
 
+def test_library_ignores_budget_environment(monkeypatch):
+    monkeypatch.setenv("SKEINKIT_MAX_WIDTH", "2")
+    assert bracket(catalog_lookup("6_2")) == brute_force_bracket(
+        catalog_lookup("6_2"))
+
+
+def test_width_budget_enforced_after_cache_is_warm():
+    pd = catalog_lookup("6_2")
+    reduced_colored(pd, 3)
+    with pytest.raises(BudgetError):
+        reduced_colored(pd, 3, max_width=2)
+
+
 def test_chebyshev_small_patterns():
     assert chebyshev_coefficients(0) == ((0, 1),)
     assert chebyshev_coefficients(1) == ((1, 1),)

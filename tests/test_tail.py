@@ -135,11 +135,8 @@ def test_stabilization_check_requires_three_colors():
         stabilization_check(catalog_lookup("3_1"), 2)
 
 
-def test_stabilization_check_reports_budget_exhaustion(monkeypatch):
-    # (a diagram no other test computes colored values for, so the
-    # session cache cannot satisfy the request before the budget check)
+def test_stabilization_check_reports_budget_exhaustion():
     from skeinkit.construct import rational_knot
-    monkeypatch.setenv("SKEINKIT_MAX_WIDTH", "4")
-    rep = stabilization_check(rational_knot([5], 0), 5)
+    rep = stabilization_check(rational_knot([5], 0), 5, max_width=4)
     assert not rep.complete
     assert not rep.all_true

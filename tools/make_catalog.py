@@ -12,8 +12,8 @@ Verification per entry:
     published value for the knot;
   * adequacy flags (reduced alternating entries must be adequate on
     both sides; the non-alternating trefoil B-side only);
-  * Jones polynomial against the independently computed values shipped
-    with the test suite, where we have them (up to mirror);
+  * Jones polynomial against the independently computed values in
+    tests/oracles.py, where we have them (up to mirror);
   * 6_2 chirality is pinned so that its 2-colored reduced invariant,
     written in q, has ascending coefficients 1,-2,2,-2,2,-1,1.
 """
@@ -24,7 +24,9 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
+from oracles import CORPUS_JONES, DETERMINANTS
 from skeinkit import construct, diagram, jones
 from skeinkit.poly import LaurentPoly, to_q
 
@@ -33,18 +35,6 @@ OUT = ROOT / "src" / "skeinkit" / "data" / "catalog.txt"
 # Non-alternating, B-adequate (not A-adequate) 4-crossing trefoil:
 # a right trefoil with one extra curl placed so the all-A state pinches.
 BADEQUATE = "X[1,6,2,7] X[5,8,6,1] X[7,4,8,5] X[2,3,3,4]"
-
-# Independently computed 2-colored reduced values (A variable), as
-# shipped in tests/oracles.py; catalog entries must match up to mirror.
-CORPUS_JONES = {
-    "3_1": {4: 1, 12: 1, 16: -1},
-    "4_1": {-8: 1, -4: -1, 0: 1, 4: -1, 8: 1},
-    "5_2": {4: 1, 8: -1, 12: 2, 16: -1, 20: 1, 24: -1},
-    "6_3": {-12: -1, -8: 2, -4: -2, 0: 3, 4: -2, 8: 2, 12: -1},
-}
-
-DETS = {"unknot": 1, "3_1": 3, "4_1": 5, "5_2": 7,
-        "6_1": 9, "6_2": 11, "6_3": 13, "3_1_badequate": 3}
 
 
 def determinant(pd):
@@ -101,8 +91,9 @@ def main():
     problems = []
     for name, pd, _ in entries:
         det = determinant(pd)
-        if det != DETS[name]:
-            problems.append(f"{name}: determinant {det} != {DETS[name]}")
+        if det != DETERMINANTS[name]:
+            problems.append(f"{name}: determinant {det} != "
+                            f"{DETERMINANTS[name]}")
         ad = diagram.adequacy(pd)
         if name == "3_1_badequate":
             if ad.a_adequate or not ad.b_adequate:
