@@ -16,11 +16,13 @@ is plain text by default, JSON with ``--format json``.  Exit codes:
 0 success, 2 bad input, 3 budget exceeded, 4 unstable coefficients,
 70 internal invariant breach.
 
-Two budgets apply: ``--max-width`` (open strand-ends during a sweep)
-and ``--time-limit`` (wall-clock seconds).  SKEINKIT_MAX_WIDTH and
-SKEINKIT_TIME_LIMIT give their defaults; a flag wins over the
-environment.  Library calls read no budget from the environment: they
-take budgets only as keyword arguments, which this module passes down.
+Two budgets apply: ``--max-width`` (open strand-ends during a sweep,
+an integer >= 0) and ``--time-limit`` (wall-clock seconds, from 0 to
+1e9; 0 means no limit).  SKEINKIT_MAX_WIDTH and SKEINKIT_TIME_LIMIT give
+their defaults; a flag wins over the environment.  A value out of range,
+from either source, is a usage error (exit 2).  Library calls read no
+budget from the environment: they take budgets only as keyword
+arguments, which this module passes down.
 """
 
 from __future__ import annotations
@@ -111,6 +113,36 @@ def _load_pd(source: str) -> tuple[diagram.PDCode, str]:
             raise SkeinError(f"cannot read {source}: {exc}") from exc
         pd = diagram.parse_pd(text)
     return pd, source
+
+
+# signal.setitimer overflows a 32-bit time_t past about 2.1e9 seconds
+MAX_TIME_LIMIT = 1e9
+
+
+def _width_budget(text: str) -> int:
+    """argparse type of --max-width: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _time_budget(text: str) -> float:
+    """argparse type of --time-limit: seconds in [0, MAX_TIME_LIMIT]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number of seconds, got {text!r}") from None
+    if not 0 <= value <= MAX_TIME_LIMIT:       # also rejects nan
+        raise argparse.ArgumentTypeError(
+            f"must be from 0 (no limit) to {MAX_TIME_LIMIT:g} seconds, "
+            f"got {text}")
+    return value
 
 
 class _Timeout:
@@ -254,15 +286,16 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="catalog:NAME or path to a PD text file")
     common.add_argument("--format", choices=("text", "json"),
                         default="text")
-    # argparse runs a string default through ``type``, so a malformed
-    # environment value is a usage error (exit 2)
-    common.add_argument("--max-width", type=int,
+    # argparse runs a string default through ``type``, so a malformed or
+    # out-of-range environment value is a usage error (exit 2)
+    common.add_argument("--max-width", type=_width_budget,
                         default=os.environ.get("SKEINKIT_MAX_WIDTH")
                         or diagram.MAX_WIDTH,
                         help="sweep width budget (SKEINKIT_MAX_WIDTH)")
-    common.add_argument("--time-limit", type=float,
+    common.add_argument("--time-limit", type=_time_budget,
                         default=os.environ.get("SKEINKIT_TIME_LIMIT") or None,
-                        help="wall-clock seconds (SKEINKIT_TIME_LIMIT)")
+                        help="wall-clock seconds, 0 for none "
+                        "(SKEINKIT_TIME_LIMIT)")
 
     p = sub.add_parser("bracket", parents=[common],
                        help="Kauffman bracket")

@@ -195,3 +195,33 @@ def test_time_limit_budget(capsys):
                        "--time-limit", "0.01")
     assert code == 3
     assert "time_limit" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--time-limit", "-1"), ("--time-limit", "inf"), ("--time-limit", "1e20"),
+    ("--time-limit", "nan"), ("--max-width", "-1"),
+])
+def test_out_of_range_budget_is_usage_error(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bracket", "catalog:3_1", flag, value])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith(f"got {value}")
+    assert f"argument {flag}" in err
+
+
+def test_out_of_range_time_limit_environment_is_usage_error(monkeypatch,
+                                                            capsys):
+    monkeypatch.setenv("SKEINKIT_TIME_LIMIT", "-1")
+    with pytest.raises(SystemExit) as exc:
+        main(["bracket", "catalog:3_1"])
+    assert exc.value.code == 2
+    assert "argument --time-limit" in capsys.readouterr().err
+
+
+def test_zero_time_limit_means_no_limit(monkeypatch, capsys):
+    code, out, _ = run(capsys, "bracket", "catalog:3_1", "--time-limit", "0")
+    assert code == 0 and out.strip() == "-A^-9+A^-1+A^3+A^7"
+    monkeypatch.setenv("SKEINKIT_TIME_LIMIT", "0")
+    assert run(capsys, "bracket", "catalog:3_1")[0] == 0

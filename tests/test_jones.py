@@ -3,13 +3,13 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import CORPUS_JONES, braid_closure
 from skeinkit.construct import rational_knot, with_kink
 from skeinkit.diagram import (
-    PDCode, apply_state, cable, catalog_lookup, catalog_names, mirror,
-    parse_pd, plan_sweep,
+    PDCode, analyze, apply_state, cable, cable_multi, catalog_lookup,
+    catalog_names, mirror, parse_pd, plan_sweep,
 )
 from skeinkit.errors import BudgetError
 from skeinkit.jones import (
@@ -54,6 +54,43 @@ def test_sweep_matches_brute_force_on_braids(width, word):
     word = [g if abs(g) < width else (width - 1) * (1 if g > 0 else -1)
             for g in word]
     pd = braid_closure(width, word)
+    assert bracket(pd) == brute_force_bracket(pd)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=4)
+       .filter(lambda q: sum(q) <= 10),
+       st.integers(0, 1), st.booleans(),
+       st.none() | st.tuples(st.integers(0, 19), st.booleans()))
+def test_sweep_matches_brute_force_on_generated_two_bridge(
+        quotients, hand, mirrored, kink):
+    # 1-10 crossings; a kink closes a loop in the step that inserts it
+    pd = rational_knot(quotients, hand)
+    if kink is not None:
+        arcs = sorted(analyze(pd).arc_ports)
+        pd = with_kink(pd, arcs[kink[0] % len(arcs)], kink[1])
+    if mirrored:
+        pd = mirror(pd)
+    assert bracket(pd) == brute_force_bracket(pd)
+
+
+# knots of at most 3 crossings, and two-component links
+SMALL_KNOTS = ([1], [3], [2, 1], [1, 2], [1, 1, 1])
+SMALL_LINKS = ([2], [1, 1], [4], [1, 3])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.tuples(st.sampled_from(SMALL_KNOTS), st.integers(0, 1),
+              st.integers(2, 3).map(lambda r: (r,))),
+    st.tuples(st.sampled_from(SMALL_LINKS), st.integers(0, 1),
+              st.tuples(st.integers(1, 3), st.integers(1, 3))
+              .filter(lambda m: m[0] != m[1]))))
+def test_sweep_matches_brute_force_on_cables(case):
+    # states of one step arrive with different bases and lengths
+    quotients, hand, mults = case
+    pd = cable_multi(rational_knot(quotients, hand), mults)
+    assume(len(pd.crossings) <= 12)
     assert bracket(pd) == brute_force_bracket(pd)
 
 
