@@ -6,9 +6,13 @@ gives the product, with each deleted loop worth a factor
 delta = -A^2 - A^-2 in the algebra TL_n.  This module provides:
 
 * :class:`Matching` and its product (:func:`compose`, with loop count),
-* :class:`TLElement`, sparse linear combinations with exact
-  rational-function coefficients,
-* the Jones-Wenzl idempotents f^(n) by their two-term recursion,
+* :class:`TLElement`, sparse linear combinations whose coefficients
+  are Laurent-polynomial numerators over one shared denominator; all
+  products and sums stay in polynomial arithmetic, and RationalFn
+  coefficients appear only where values enter or leave an element,
+* the Jones-Wenzl idempotents f^(n) by their two-term recursion, built
+  with the element product over the canonical denominator
+  delta_factorial(n-1),
 * minimum hook-word length via breadth-first search (an exact oracle
   used by degree-bound tests),
 * a brute-force evaluator for closed planar networks of idempotent
@@ -25,11 +29,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 from collections import deque
 from typing import Iterator, Sequence
 
 from .errors import AdmissibilityError, BudgetError, PDError
-from .poly import LaurentPoly, RationalFn
+from .poly import ONE, ZERO, LaurentPoly, RationalFn, exact_divide
 from .quantum import delta
 
 
@@ -197,34 +202,47 @@ def compose(m1: Matching, m2: Matching) -> tuple[Matching, int]:
 # ---------------------------------------------------------------------------
 # the algebra
 
-_DELTA = RationalFn.of(delta(1))
-
-
-def _coeff(x) -> RationalFn:
-    return x if isinstance(x, RationalFn) else RationalFn.of(x)
-
-
-@dataclasses.dataclass(frozen=True)
+# eq=False: __eq__ below compares cross-multiplied coefficients, so a
+# field-wise hash would not agree with it; elements stay unhashable
+@dataclasses.dataclass(frozen=True, eq=False)
 class TLElement:
-    """A linear combination of matchings with RationalFn coefficients.
+    """A linear combination of matchings: numerators over one denominator.
 
-    Coefficients are kept unreduced; zero terms are dropped.
+    ``nums`` holds (matching, LaurentPoly numerator) pairs, sorted by
+    matching and without zeros; every coefficient is ``num / den``.  All
+    arithmetic stays in Laurent polynomials.  RationalFn appears only at
+    the edge: :meth:`build` and :meth:`scale` take RationalFn (or int,
+    LaurentPoly) coefficients, and :attr:`terms` and :meth:`coefficient`
+    give them back, unreduced over ``den``.
     """
 
     n: int
-    terms: tuple[tuple[Matching, RationalFn], ...]
+    nums: tuple[tuple[Matching, LaurentPoly], ...]
+    den: LaurentPoly = ONE
+
+    @classmethod
+    def _of_nums(cls, n: int, nums: dict[Matching, LaurentPoly],
+                 den: LaurentPoly) -> "TLElement":
+        kept = [(m, c) for m, c in nums.items() if not c.is_zero]
+        kept.sort(key=lambda mc: mc[0].paren_string())
+        return cls(n, tuple(kept), den)
 
     @classmethod
     def build(cls, n: int, items) -> "TLElement":
-        acc: dict[Matching, RationalFn] = {}
-        for m, c in items:
+        """Sum coefficient*matching over items; the common denominator is
+        the product of the distinct denominators given."""
+        coeffs = [(m, RationalFn.of(c)) for m, c in items]
+        dens = dict.fromkeys(c.den for _, c in coeffs)
+        den = math.prod(dens, start=ONE)
+        for d in dens:
+            dens[d] = exact_divide(den, d)
+        acc: dict[Matching, LaurentPoly] = {}
+        for m, c in coeffs:
             if m.n != n:
                 raise PDError("mixed strand counts in one element")
-            c = _coeff(c)
-            acc[m] = acc[m] + c if m in acc else c
-        kept = [(m, c) for m, c in acc.items() if not c.is_zero]
-        kept.sort(key=lambda mc: mc[0].paren_string())
-        return cls(n, tuple(kept))
+            num = c.num * dens[c.den]
+            acc[m] = acc[m] + num if m in acc else num
+        return cls._of_nums(n, acc, den)
 
     @classmethod
     def of_matching(cls, m: Matching, coeff=1) -> "TLElement":
@@ -239,91 +257,85 @@ class TLElement:
         return cls(n, ())
 
     @property
+    def terms(self) -> tuple[tuple[Matching, RationalFn], ...]:
+        return tuple((m, RationalFn(c, self.den)) for m, c in self.nums)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def coefficient(self, m: Matching) -> RationalFn:
-        for mm, c in self.terms:
+        for mm, c in self.nums:
             if mm == m:
-                return c
+                return RationalFn(c, self.den)
         return RationalFn.of(0)
 
     def __add__(self, other: "TLElement") -> "TLElement":
         if self.n != other.n:
             raise PDError("strand counts differ")
-        return TLElement.build(self.n,
-                               list(self.terms) + list(other.terms))
+        return TLElement.build(self.n, self.terms + other.terms)
 
     def __sub__(self, other: "TLElement") -> "TLElement":
         return self + other.scale(-1)
 
     def scale(self, c) -> "TLElement":
-        c = _coeff(c)
-        return TLElement.build(self.n,
-                               [(m, cm * c) for m, cm in self.terms])
+        c = RationalFn.of(c)
+        return TLElement._of_nums(
+            self.n, {m: cm * c.num for m, cm in self.nums},
+            self.den * c.den)
 
     def __mul__(self, other: "TLElement") -> "TLElement":
         """Algebra product: other is stacked on top of self."""
         if self.n != other.n:
             raise PDError("strand counts differ")
-        out = []
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m, loops = compose(m1, m2)
-                c = c1 * c2
-                for _ in range(loops):
-                    c = c * _DELTA
-                out.append((m, c))
-        return TLElement.build(self.n, out)
+        out: dict[Matching, LaurentPoly] = {}
+        for m1, c1 in self.nums:
+            # sum the right factors that land on the same (matching,
+            # loops) first: one polynomial product per group, not per pair
+            groups: dict[tuple[Matching, int], LaurentPoly] = {}
+            for m2, c2 in other.nums:
+                key = compose(m1, m2)
+                groups[key] = groups[key] + c2 if key in groups else c2
+            for (m, loops), c2 in groups.items():
+                c = c1 * c2 * delta(1) ** loops if loops else c1 * c2
+                out[m] = out[m] + c if m in out else c
+        return TLElement._of_nums(self.n, out, self.den * other.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TLElement):
             return NotImplemented
-        return self.n == other.n and dict(self.terms) == dict(other.terms)
+        mine, theirs = dict(self.nums), dict(other.nums)
+        return (self.n == other.n and mine.keys() == theirs.keys()
+                and all(c * other.den == theirs[m] * self.den
+                        for m, c in mine.items()))
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         return " + ".join(f"({c})*{m}" for m, c in self.terms)
 
 
-
-
-def _scaled_product(t1: dict[Matching, LaurentPoly],
-                    t2: dict[Matching, LaurentPoly],
-                    ) -> dict[Matching, LaurentPoly]:
-    """TL product of two poly-coefficient term maps (loops -> delta)."""
-    d = delta(1)
-    out: dict[Matching, LaurentPoly] = {}
-    for m1, c1 in t1.items():
-        for m2, c2 in t2.items():
-            m, loops = compose(m1, m2)
-            c = c1 * c2 * d ** loops
-            out[m] = out[m] + c if m in out else c
-    return {m: c for m, c in out.items() if not c.is_zero}
-
-
 @functools.lru_cache(maxsize=None)
-def _jones_wenzl_scaled(n: int) -> tuple[dict, LaurentPoly]:
-    """f^(n) as (poly-coefficient terms, shared denominator).
+def jones_wenzl(n: int) -> TLElement:
+    """The idempotent f^(n): kills every hook, coefficient 1 on identity.
 
-    Working over a single denominator keeps every intermediate sum in
-    plain Laurent-polynomial arithmetic; the rational coefficients are
-    only formed at the end.  Recursion (inside TL_{n+1}):
+    Recursion inside TL_n, with h = h_{n-1} and f^(n-1) = E/D extended
+    by one straight strand:
 
-        f^(n+1) = f^(n) - (Delta_{n-1}/Delta_n) f^(n) h_n f^(n)
+        f^(n) = f^(n-1) - (Delta_{n-2}/Delta_{n-1}) f^(n-1) h f^(n-1)
+              = (Delta_{n-1}*E - (Delta_{n-2}*E*h*E)/D) / (Delta_{n-1}*D)
 
-    so with f^(n) = E/D the next pair is
-    (Delta_n*D*E - Delta_{n-1}*E*h*E, Delta_n*D^2).
+    The division by D is exact (exact_divide raises if it ever is not),
+    so every coefficient sits over den = delta_factorial(n-1).  f^(0) is
+    the identity on no strands.
     """
-    if n < 1:
-        raise PDError("need at least one strand")
-    if n == 1:
-        return {Matching.identity(1): LaurentPoly.constant(1)}, \
-            LaurentPoly.constant(1)
-    terms, den = _jones_wenzl_scaled(n - 1)
+    if n < 0:
+        raise PDError("strand count must be non-negative")
+    if n <= 1:
+        return TLElement.identity_element(n)
+    prev = jones_wenzl(n - 1)
     ext = {}
-    for m, c in terms.items():
+    for m, c in prev.nums:
         part = [0] * (2 * n)
         for i, j in enumerate(m.partner):
             gi = i if i < n - 1 else i + 1
@@ -331,27 +343,13 @@ def _jones_wenzl_scaled(n: int) -> tuple[dict, LaurentPoly]:
             part[gi] = gj
         part[n - 1], part[2 * n - 1] = 2 * n - 1, n - 1
         ext[Matching(n, tuple(part))] = c
-    hk = {hook(n, n - 1): LaurentPoly.constant(1)}
-    ehe = _scaled_product(_scaled_product(ext, hk), ext)
-    d_lo, d_hi = delta(n - 2), delta(n - 1)
-    out = {m: c * d_hi * den for m, c in ext.items()}
-    for m, c in ehe.items():
-        adj = c * d_lo
+    e = TLElement._of_nums(n, ext, prev.den)
+    ehe = e * TLElement.of_matching(hook(n, n - 1)) * e
+    out = {m: c * delta(n - 1) for m, c in e.nums}
+    for m, c in ehe.nums:
+        adj = exact_divide(c * delta(n - 2), e.den)
         out[m] = out[m] - adj if m in out else -adj
-    return ({m: c for m, c in out.items() if not c.is_zero},
-            d_hi * den * den)
-
-
-@functools.lru_cache(maxsize=None)
-def jones_wenzl(n: int) -> TLElement:
-    """The idempotent f^(n): kills every hook, coefficient 1 on identity.
-
-    All coefficients share one literal denominator, so sums of products
-    of them stay denominator-aligned (fast exact addition).
-    """
-    terms, den = _jones_wenzl_scaled(n)
-    return TLElement.build(
-        n, [(m, RationalFn(c, den)) for m, c in terms.items()])
+    return TLElement._of_nums(n, out, delta(n - 1) * e.den)
 
 
 def partial_trace(el: TLElement) -> TLElement:
@@ -369,15 +367,15 @@ def partial_trace(el: TLElement) -> TLElement:
         # reindex after removing points b and t
         return i if i < b else i - 1
 
-    out = []
-    for m, c in el.terms:
+    out: dict[Matching, LaurentPoly] = {}
+    for m, c in el.nums:
         part = [0] * (2 * n - 2)
         if m.partner[b] == t:
             for i, j in enumerate(m.partner):
                 if i in (b, t):
                     continue
                 part[drop(i)] = drop(j)
-            out.append((Matching(n - 1, tuple(part)), c * _DELTA))
+            c = c * delta(1)
         else:
             x, y = m.partner[b], m.partner[t]
             for i, j in enumerate(m.partner):
@@ -385,8 +383,9 @@ def partial_trace(el: TLElement) -> TLElement:
                     continue
                 part[drop(i)] = drop(j)
             part[drop(x)], part[drop(y)] = drop(y), drop(x)
-            out.append((Matching(n - 1, tuple(part)), c))
-    return TLElement.build(n - 1, out)
+        mm = Matching(n - 1, tuple(part))
+        out[mm] = out[mm] + c if mm in out else c
+    return TLElement._of_nums(n - 1, out, el.den)
 
 
 @functools.lru_cache(maxsize=None)
@@ -485,28 +484,19 @@ def network_evaluate(net: PlanarNetwork,
     algorithm.
     """
     idems = [jones_wenzl(w) for w in net.boxes]
-    size = 1
-    for el in idems:
-        size *= len(el.terms)
+    size = math.prod(len(el.nums) for el in idems)
     if size > max_network:
         raise BudgetError("max_network", max_network, needed=size,
                           detail="network expansion too large")
-    # expand wider boxes first so early zero coefficients cut the most
-    order = sorted(range(len(idems)),
-                   key=lambda i: -len(idems[i].terms))
-    total = RationalFn.of(0)
-    for combo in itertools.product(*(idems[i].terms for i in order)):
-        pick: list[Matching] = [None] * len(idems)  # type: ignore
-        coeff = RationalFn.of(1)
-        for slot, (m, c) in zip(order, combo):
-            pick[slot] = m
-            coeff = coeff * c
-        circles = _port_cycles(net, pick) + net.circles
-        term = coeff
-        for _ in range(circles):
-            term = term * _DELTA
-        total = total + term
-    return total
+    # numerators summed per circle count, so each power of delta is
+    # multiplied in once
+    by_circles: dict[int, LaurentPoly] = {}
+    for combo in itertools.product(*(el.nums for el in idems)):
+        coeff = math.prod((c for _, c in combo), start=ONE)
+        circles = _port_cycles(net, [m for m, _ in combo]) + net.circles
+        by_circles[circles] = by_circles.get(circles, ZERO) + coeff
+    num = sum((c * delta(1) ** k for k, c in by_circles.items()), ZERO)
+    return RationalFn(num, math.prod((el.den for el in idems), start=ONE))
 
 
 def circle_network(k: int = 1) -> PlanarNetwork:

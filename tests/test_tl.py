@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import bfs_word_lengths
 from skeinkit.errors import AdmissibilityError, BudgetError, PDError
-from skeinkit.poly import ONE, RationalFn
-from skeinkit.quantum import delta, theta
+from skeinkit.poly import A, ONE, RationalFn
+from skeinkit.quantum import delta, delta_factorial, theta
 from skeinkit.tl import (
     Matching, PlanarNetwork, Port, TLElement, circle_network, compose,
     enumerate_matchings, hook, identity_replacement_degree, jones_wenzl,
@@ -73,11 +73,19 @@ def test_element_algebra():
 
 def test_element_distributes():
     n = 3
-    a = TLElement.of_matching(hook(n, 1), 2)
-    b = TLElement.of_matching(hook(n, 2), -1)
     c = TLElement.identity_element(n)
-    assert (a + b) * c == a * c + b * c
-    assert c * (a + b) == c * a + c * b
+    integral = (TLElement.of_matching(hook(n, 1), 2),
+                TLElement.of_matching(hook(n, 2), -1))
+    # unequal denominators, which the projector recursion never produces
+    mixed = (TLElement.of_matching(hook(n, 1), RationalFn(ONE, delta(1))),
+             TLElement.of_matching(hook(n, 2), RationalFn(A * A, delta(2))))
+    for a, b in (integral, mixed):
+        assert (a + b) * c == a * c + b * c
+        assert c * (a + b) == c * a + c * b
+        assert (a + b) * b == a * b + b * b
+        assert b * (a + b) == b * a + b * b
+        assert a + b - b == a
+        assert a.scale(RationalFn(delta(2), delta(2))) == a
 
 
 def test_projector_small():
@@ -85,6 +93,9 @@ def test_projector_small():
     assert f2.coefficient(Matching.identity(2)) == RationalFn.of(1)
     assert f2.coefficient(hook(2, 1)) == RationalFn(-ONE, delta(1))
     assert f2 * f2 == f2
+    assert jones_wenzl(0) == TLElement.identity_element(0)
+    with pytest.raises(PDError):
+        jones_wenzl(-1)
 
 
 def test_projector_annihilates_hooks():
@@ -96,6 +107,19 @@ def test_projector_annihilates_hooks():
             assert (h * f).is_zero
             assert (f * h).is_zero
         assert f.coefficient(Matching.identity(n)) == RationalFn.of(1)
+
+
+def test_projector_canonical_denominator():
+    # den is delta_factorial(n-1) only if every exact division in the
+    # recursion succeeds; n = 7 is one size past any other use
+    for n in range(1, 8):
+        f = jones_wenzl(n)
+        assert f.den == delta_factorial(n - 1), n
+        assert f.coefficient(Matching.identity(n)) == RationalFn.of(1)
+    f = jones_wenzl(7)
+    for i in range(1, 7):
+        h = TLElement.of_matching(hook(7, i))
+        assert (h * f).is_zero and (f * h).is_zero, i
 
 
 def test_partial_trace_ratio():
@@ -140,12 +164,16 @@ def test_circle_networks():
 
 
 def test_trace_network_values():
-    for n in (1, 2, 3, 4):
+    for n in (0, 1, 2, 3, 4):
         assert network_evaluate(trace_network(n)) == RationalFn.of(delta(n))
+    assert network_evaluate(trace_network(0)) == RationalFn.of(1)
 
 
 def test_theta_network_matches_closed_form():
-    for triple in ((1, 1, 2), (2, 2, 2), (2, 2, 4), (3, 3, 2), (1, 2, 3)):
+    zero_colored = tuple((a, a, 0) for a in range(4))
+    widest = ((3, 4, 5), (5, 5, 2))  # perfbench's projector workload
+    for triple in ((1, 1, 2), (2, 2, 2), (2, 2, 4), (3, 3, 2), (1, 2, 3),
+                   *zero_colored, *widest):
         a, b, c = triple
         assert network_evaluate(theta_network(a, b, c)) == theta(a, b, c)
 
