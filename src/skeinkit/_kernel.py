@@ -11,6 +11,9 @@ The compiled kernel is preferred when importable.  Set SKEINKIT_KERNEL=py
 or SKEINKIT_KERNEL=c to force one.  If the compiled kernel overflows int64
 on a huge computation it raises OverflowError and the caller transparently
 re-runs on the Python kernel, so results are always exact.
+
+A run with a ``floor`` (the degree window, see ``_sweep_py.run``) always
+runs on the Python kernel: the compiled kernel has no window.
 """
 
 import os
@@ -53,8 +56,14 @@ def compile_plan(plan):
         (op.width_in, op.closures, op.keep, op.rank) for op in plan.ops)
 
 
-def run_packed(program, kernel=None):
-    """Run a compiled program, falling back to Python on int64 overflow."""
+def run_packed(program, kernel=None, floor=None):
+    """Run a compiled program, falling back to Python on int64 overflow.
+
+    With ``floor``, return only the terms of exponent >= floor, always
+    from the Python kernel.
+    """
+    if floor is not None:
+        return _sweep_py.run(program, floor=floor)
     mod = kernel if kernel is not None else pick_kernel()
     try:
         return mod.run(program)

@@ -9,7 +9,8 @@ component (wrapping at the component's maximum back to its minimum).
 This module handles everything that is purely diagrammatic:
 
 * parsing and validation (:func:`parse_pd`, :func:`analyze`),
-* orientation, crossing signs, writhe,
+* orientation, crossing signs, writhe, and the genus of the code's
+  embedding (0 for a planar diagram, :func:`genus`),
 * smoothing states and their circle counts (:func:`apply_state`),
 * the touch-graph of a state and adequacy decisions (:func:`adequacy`),
 * mirror images,
@@ -288,6 +289,42 @@ def analyze(pd: PDCode) -> DiagramInfo:
 
 def writhe(pd: PDCode) -> int:
     return analyze(pd).writhe
+
+
+def genus(pd: PDCode) -> int:
+    """Genus of the surface on which the PD code's port order embeds it.
+
+    0 for a diagram drawn in the plane; a code with no planar drawing (a
+    virtual diagram) has genus >= 1.  Euler's formula per connected
+    piece: crossings - arcs + faces = 2 - 2g, with two arcs per crossing
+    and the faces traced by turning to the next port counterclockwise.
+    """
+    analyze(pd)
+    other = {}
+    for (c1, s1), (c2, s2) in _port_scan(pd).values():
+        other[c1, s1] = (c2, s2)
+        other[c2, s2] = (c1, s1)
+    faces = 0
+    seen = set()
+    for dart in other:
+        if dart in seen:
+            continue
+        faces += 1
+        while dart not in seen:
+            seen.add(dart)
+            c, s = other[dart]
+            dart = (c, (s + 1) % 4)
+    root = list(range(len(pd.crossings)))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    for (c1, _), (c2, _) in other.items():
+        root[find(c1)] = find(c2)
+    pieces = len({find(c) for c in root})
+    return (2 * pieces + len(pd.crossings) - faces) // 2
 
 
 def mirror(pd: PDCode) -> PDCode:

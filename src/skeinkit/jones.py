@@ -23,9 +23,10 @@ from typing import Optional, Sequence
 
 from . import diagram
 from ._kernel import compile_plan, pick_kernel, run_packed
+from ._sweep_py import certified_top
 from ._sweep_py import replay_circles as _replay_packed
 from .errors import BudgetError, InternalError
-from .poly import LaurentPoly, ONE, exact_divide
+from .poly import LaurentPoly, ONE, RationalFn, ZERO, exact_divide, truncate
 from .quantum import delta, gamma
 
 
@@ -140,18 +141,22 @@ def colored_bracket(pd: diagram.PDCode, n: int,
         raise ValueError("color must be >= 0")
     if not pd.crossings and not pd.extra_circles:
         return ONE
+    total = LaurentPoly()
+    for weight, cabled in _cables(pd, n):
+        total = total + weight * bracket(cabled, max_width=max_width)
+    return total
+
+
+def _cables(pd: diagram.PDCode, n: int):
+    """(weight, cable) pairs of the multilinear Chebyshev expansion at
+    color n; the last cable carries every component n-fold."""
     k = diagram.analyze(pd).total_components if pd.crossings \
         else pd.extra_circles
-    pattern = chebyshev_coefficients(n)
-    total = LaurentPoly()
-    for combo in itertools.product(pattern, repeat=k):
-        mults = [m for m, _ in combo]
+    for combo in itertools.product(chebyshev_coefficients(n), repeat=k):
         weight = 1
         for _, c in combo:
             weight *= c
-        cabled = diagram.cable_multi(pd, mults)
-        total = total + weight * bracket(cabled, max_width=max_width)
-    return total
+        yield weight, diagram.cable_multi(pd, [m for m, _ in combo])
 
 
 def unreduced_colored(pd: diagram.PDCode, color_dim: int,
@@ -180,3 +185,44 @@ def jones_polynomial(pd: diagram.PDCode,
                      max_width: int = diagram.MAX_WIDTH) -> LaurentPoly:
     """The classical case: reduced 2-dimensional invariant, in A."""
     return reduced_colored(pd, 2, max_width=max_width)
+
+
+def reduced_colored_top(pd: diagram.PDCode, color_dim: int, terms: int,
+                        max_width: int = diagram.MAX_WIDTH
+                        ) -> tuple[LaurentPoly, int]:
+    """The top ``terms`` q-coefficients of :func:`reduced_colored`.
+
+    Returns ``(p, floor)``: p equals ``reduced_colored(pd, color_dim)`` on
+    the A-exponents >= floor and is zero below.  floor is the certified
+    top minus 4*(terms - 1), the top being the bound T + 2*c0 of the
+    cable with every component n-fold, after framing and division.  So p holds ``terms``
+    q-coefficients exactly when its top reaches floor + 4*(terms - 1),
+    which holds on an A-adequate diagram; callers check it.
+    """
+    if color_dim < 1 or terms < 1:
+        raise ValueError("color dimension and terms must be >= 1")
+    n = color_dim - 1
+    cables = []
+    for weight, cabled in _cables(pd, n):
+        program = compile_plan(diagram.plan_sweep(
+            cabled, max_width=max_width)) if cabled.crossings else ()
+        cables.append((weight, cabled.extra_circles, program))
+    # the all-n cable's top bounds the others
+    _, extra, program = cables[-1]
+    floor = certified_top(program) + 2 * extra - 4 * (terms - 1)
+    total = ZERO
+    for weight, extra, program in cables:
+        # loops outside the sweep reach 2*extra above the swept terms
+        swept = _packed_to_poly(*run_packed(program, floor=floor - 2 * extra))
+        total = total + weight * swept * delta(1) ** extra
+    total = LaurentPoly(tuple(t for t in total.terms if t[0] >= floor))
+    frame = gamma(n, n, 0) ** (-diagram.writhe(pd))
+    top = frame * total
+    floor += frame.max_degree() - 2 * n
+    if top.is_zero:
+        return ZERO, floor
+    # divide from the top: quotient degrees >= floor need only the known
+    # dividend degrees; mirrored, this is the low-end series expansion
+    slots = top.max_degree() - 2 * n - floor + 1
+    quotient = truncate(RationalFn(top.mirror(), delta(n).mirror()), slots)
+    return quotient.mirror(), floor

@@ -10,6 +10,13 @@ series is the *tail* (and, at the other end of the polynomial, the
 
 This module provides the comparison, the extraction of verified stable
 coefficients, and a per-color verification harness used by the CLI.
+
+Both compare only the first few coefficients, so on a side where the
+diagram is adequate (and planar) they compute only those: the top of the
+reduced invariant, by :func:`skeinkit.jones.reduced_colored_top`.  There
+the top is certified, and the window equals the full polynomial's top;
+a window that cannot show what is compared falls back to the full
+polynomials, so results never depend on the window.
 """
 
 from __future__ import annotations
@@ -18,9 +25,9 @@ import dataclasses
 import time
 from typing import Union
 
-from .diagram import MAX_WIDTH, PDCode
+from .diagram import MAX_WIDTH, PDCode, adequacy, genus, mirror
 from .errors import BudgetError, StabilizationError
-from .jones import reduced_colored
+from .jones import reduced_colored, reduced_colored_top
 from .poly import LaurentPoly, QPresentation, to_q
 
 
@@ -93,6 +100,43 @@ def dot_eq(p1, p2, n: int) -> tuple[bool, int | None]:
     return ok, mismatch
 
 
+def _window_diagram(d: PDCode, side: str):
+    """The diagram whose top A-end carries ``side`` of d's series, if
+    that end can be windowed: d is planar, has crossings, and is
+    A-adequate (tail) or B-adequate (head, the mirror's tail).
+
+    Planarity keeps every exponent of the invariant in one class mod 4,
+    so the window's normalization step is the full series' step.
+    Returns None when the side needs the full polynomials.
+    """
+    if not d.crossings or genus(d):
+        return None
+    rep = adequacy(d)
+    if side == "tail":
+        return d if rep.a_adequate else None
+    return mirror(d) if rep.b_adequate else None
+
+
+def _full(d: PDCode, color_dim: int, side: str,
+          max_width: int) -> LaurentPoly:
+    p = reduced_colored(d, color_dim, max_width=max_width)
+    return p.mirror() if side == "head" else p
+
+
+def _series(d: PDCode, window_pd, color_dim: int, terms: int, side: str,
+            max_width: int) -> tuple[LaurentPoly, int | None]:
+    """(series, floor) of one color.  With a window diagram and a
+    certified top, the series is exact on the A-exponents >= floor,
+    which hold its top ``terms`` q-coefficients; otherwise it is the
+    full series and floor is None."""
+    if window_pd is not None:
+        p, floor = reduced_colored_top(window_pd, color_dim, terms,
+                                       max_width=max_width)
+        if not p.is_zero and p.max_degree() >= floor + 4 * (terms - 1):
+            return p, floor
+    return _full(d, color_dim, side, max_width), None
+
+
 def tail_extract(d: PDCode, k: int, side: str = "tail",
                  max_width: int = MAX_WIDTH) -> list[int]:
     """First k verified-stable coefficients of the tail (or head).
@@ -101,24 +145,34 @@ def tail_extract(d: PDCode, k: int, side: str = "tail",
     they agree below q^k before reporting anything; a disagreement
     raises StabilizationError with the witness.  The head is the tail
     of the mirrored polynomial (q -> 1/q).  ``max_width`` bounds each
-    sweep, as in :func:`skeinkit.jones.reduced_colored`.
+    sweep, as in :func:`skeinkit.jones.reduced_colored`.  On an adequate
+    side only the top k q-coefficients of each color are computed; they
+    decide the comparison below q^k, the witness included.
     """
     if k < 1:
         raise ValueError("need k >= 1 coefficients")
     if side not in ("tail", "head"):
         raise ValueError(f"side must be 'tail' or 'head', not {side!r}")
-
-    def series_at(color_dim: int) -> LaurentPoly:
-        p = reduced_colored(d, color_dim, max_width=max_width)
-        return p.mirror() if side == "head" else p
-
-    jk, jk1 = series_at(k), series_at(k + 1)
+    window_pd = _window_diagram(d, side)
+    jk, floor = _series(d, window_pd, k, k, side, max_width)
+    jk1, _ = _series(d, window_pd, k + 1, k, side, max_width)
     ok, mismatch = dot_eq(jk, jk1, k)
     if not ok:
         raise StabilizationError(k, mismatch,
                                  detail=f"{side} coefficients beyond this "
                                         f"offset are not stable")
-    return list(normalize(jk).coeffs[:k])
+    coeffs = list(normalize(jk).coeffs[:k])
+    if len(coeffs) < k and floor is not None:
+        # the window's k coefficients are exact, zeros included, and the
+        # series goes on past them iff it has a term below the window;
+        # a nonzero 1-term window of the mirror holds its lowest term
+        low, _ = reduced_colored_top(mirror(window_pd), k, 1,
+                                     max_width=max_width)
+        if not low.is_zero and -low.max_degree() < floor:
+            coeffs += [0] * (k - len(coeffs))
+        else:
+            coeffs = list(normalize(_full(d, k, side, max_width)).coeffs[:k])
+    return coeffs
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -153,30 +207,55 @@ class StabilizationReport:
                 "records": [r.as_dict() for r in self.records]}
 
 
+def _compare(d: PDCode, prev, cur, n: int, max_width: int):
+    """dot_eq of colors n and n+1, each a (series, floor) pair from
+    :func:`_series` with windows of at least n+1 terms.
+
+    Such windows hold the first difference when it lies at offset <= n
+    (in q-units); otherwise the pair is compared on the full series.
+    """
+    (p1, f1), (p2, f2) = prev, cur
+    ok, mismatch = dot_eq(p1, p2, n)
+    if f1 is None and f2 is None:
+        return ok, mismatch
+    step = min(normalize(p1).step_halves, normalize(p2).step_halves)
+    if mismatch is not None and step * mismatch <= 2 * n:
+        return ok, mismatch
+    return dot_eq(reduced_colored(d, n, max_width=max_width),
+                  reduced_colored(d, n + 1, max_width=max_width), n)
+
+
 def stabilization_check(d: PDCode, n_max: int,
                         max_width: int = MAX_WIDTH) -> StabilizationReport:
     """Compare consecutive colors up to n_max.
 
     Each record says whether the reduced invariants at colors N and N+1
-    agree below q^N.  A budget overrun (``max_width``, or a time limit
-    raised as BudgetError) stops the scan and flags the report
-    incomplete rather than raising.
+    agree below q^N, and where they first differ.  On an A-adequate
+    diagram each color is first computed in a window of N+1 terms; a
+    pair whose first difference lies outside it is recomputed in full.
+    A budget overrun (``max_width``, or a time limit raised as
+    BudgetError) stops the scan and flags the report incomplete rather
+    than raising.
     """
     if n_max < 3:
         raise ValueError("n_max must be at least 3")
+    window_pd = _window_diagram(d, "tail")
     records = []
     complete = True
     prev = None
     for color in range(2, n_max + 1):
         t0 = time.monotonic()
         try:
-            cur = reduced_colored(d, color, max_width=max_width)
+            # color N is compared with N-1 and N+1, which need N and N+1
+            # terms
+            cur = _series(d, window_pd, color, min(color + 1, n_max),
+                          "tail", max_width)
+            if prev is not None:
+                ok, mismatch = _compare(d, prev, cur, color - 1, max_width)
+                records.append(StabilizationRecord(
+                    color - 1, ok, mismatch, time.monotonic() - t0))
         except BudgetError:
             complete = False
             break
-        if prev is not None:
-            ok, mismatch = dot_eq(prev, cur, color - 1)
-            records.append(StabilizationRecord(
-                color - 1, ok, mismatch, time.monotonic() - t0))
         prev = cur
     return StabilizationReport(tuple(records), complete)

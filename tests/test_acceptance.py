@@ -8,11 +8,12 @@ resource budget and reports a miss instead of failing.
 
 import itertools
 import json
+import resource
 import subprocess
 import sys
 import time
 
-from oracles import SIX_TWO_ROWS, bfs_word_lengths
+from oracles import SIX_TWO_ROWS, SIX_TWO_TAIL_5, bfs_word_lengths
 from skeinkit.cli import main, q_series_from_json
 from skeinkit.construct import twist_closure
 from skeinkit.diagram import (
@@ -41,6 +42,8 @@ CRITERIA = {
     8: "adequacy flags of bundled diagrams; cables keep A-adequacy",
     9: "sweep evaluator equals the literal state sum everywhere it fits",
     10: "soft budget: six-color benchmark inside 10 minutes and 4 GB",
+    11: "soft budget: six stable tail coefficients of the benchmark "
+        "inside 2 minutes and 200 MB",
 }
 
 SOFT_NOTES = {}
@@ -204,3 +207,33 @@ def test_criterion_10_soft_resource_budget(colored):
         return
     got = q_series_from_json(json.loads(proc.stdout))
     assert got == colored("6_2", 6)    # a wrong value is a hard failure
+
+
+def test_criterion_11_soft_tail_budget():
+    # colors 6 and 7: the 5- and 6-cables, swept only in their window
+    script = (
+        "import sys\n"
+        "from skeinkit.cli import main\n"
+        "sys.exit(main(['tail', '--terms', '6', 'catalog:6_2',"
+        " '--format', 'json']))\n"
+    )
+    t0 = time.monotonic()
+    try:
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=600)
+    except subprocess.TimeoutExpired:
+        SOFT_NOTES[11] = "missed the 10-minute timeout"
+        return
+    elapsed = time.monotonic() - t0
+    assert proc.returncode == 0, proc.stderr[-300:]
+    blob = json.loads(proc.stdout)
+    assert blob["coefficients"][:5] == SIX_TWO_TAIL_5
+    # the largest max RSS of any child so far bounds this child's
+    rss_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    misses = []
+    if elapsed > 120:
+        misses.append(f"took {elapsed:.0f}s")
+    if rss_mb > 200:
+        misses.append(f"children's max RSS {rss_mb:.0f} MB")
+    if misses:
+        SOFT_NOTES[11] = ", ".join(misses)

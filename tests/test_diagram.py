@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 from skeinkit.diagram import (
     PDCode, adequacy, all_a, all_b, analyze, apply_state, cable,
-    catalog_lookup, catalog_names, format_pd, mirror, parse_pd, plan_sweep,
-    state_graph, writhe,
+    catalog_lookup, catalog_names, format_pd, genus, mirror, parse_pd,
+    plan_sweep, state_graph, writhe,
 )
 from skeinkit.errors import BudgetError, PDError
 
@@ -154,3 +154,17 @@ def test_state_circle_bound(mask):
     state = ["AB"[(mask >> i) & 1] for i in range(6)]
     count = apply_state(pd, state).count
     assert 1 <= count <= len(pd) + 1
+
+
+def test_genus_of_planar_and_virtual_codes():
+    for name in catalog_names():
+        pd = catalog_lookup(name)
+        assert genus(pd) == 0, name
+        if pd.crossings:
+            assert genus(cable(pd, 2)) == 0 == genus(mirror(pd)), name
+    # two split trefoils, and a kink next to a circle
+    assert genus(parse_pd(TREFOIL + " X[16,14,11,13] X[14,12,15,11] "
+                                    "X[12,16,13,15]")) == 0
+    assert genus(parse_pd("X[1,1,2,2] O")) == 0
+    # the virtual trefoil: two crossings with no planar drawing
+    assert genus(PDCode(((1, 3, 2, 4), (2, 4, 3, 1)))) == 1

@@ -8,13 +8,14 @@ from hypothesis import assume, given, settings, strategies as st
 from oracles import CORPUS_JONES, braid_closure
 from skeinkit.construct import rational_knot, with_kink
 from skeinkit.diagram import (
-    PDCode, analyze, apply_state, cable, cable_multi, catalog_lookup,
-    catalog_names, mirror, parse_pd, plan_sweep,
+    PDCode, adequacy, analyze, apply_state, cable, cable_multi, catalog_lookup,
+    catalog_names, format_pd, mirror, parse_pd, plan_sweep,
 )
 from skeinkit.errors import BudgetError
 from skeinkit.jones import (
     bracket, brute_force_bracket, chebyshev_coefficients, colored_bracket,
-    jones_polynomial, reduced_colored, replay, unreduced_colored,
+    jones_polynomial, reduced_colored, reduced_colored_top, replay,
+    unreduced_colored,
 )
 from skeinkit.poly import LaurentPoly, ONE, to_q
 from skeinkit.quantum import delta
@@ -204,3 +205,21 @@ def test_two_component_link_colored():
     pd = rational_knot([4], 0)
     q = to_q(reduced_colored(pd, 2))
     assert q.min_halfq % 2 == 1
+
+
+def test_reduced_colored_top_is_the_full_top():
+    # exact above the floor on every diagram; the certified top is
+    # reached wherever the diagram is A-adequate
+    cases = [catalog_lookup(n) for n in catalog_names()
+             if catalog_lookup(n).crossings]
+    cases += [rational_knot([4], 0), rational_knot([1, 3], 1),
+              parse_pd(format_pd(catalog_lookup("3_1")) + " O")]
+    for pd in cases + [mirror(pd) for pd in cases]:
+        for dim in (1, 2, 3, 4):
+            full = reduced_colored(pd, dim)
+            for terms in (1, 3, 5):
+                top, floor = reduced_colored_top(pd, dim, terms)
+                assert top == LaurentPoly(tuple(
+                    t for t in full.terms if t[0] >= floor)), (dim, terms)
+                if adequacy(pd).a_adequate:
+                    assert top.max_degree() == floor + 4 * (terms - 1)

@@ -4,11 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
-    SIX_TWO_HEAD_3, SIX_TWO_TAIL_5, TORUS_3_4_WORD, braid_closure,
+    SIX_TWO_HEAD_3, SIX_TWO_ROWS, SIX_TWO_TAIL_5, TORUS_3_4_WORD,
+    braid_closure,
 )
-from skeinkit.diagram import catalog_lookup, mirror
+from skeinkit.construct import rational_knot
+from skeinkit.diagram import catalog_lookup, catalog_names, mirror, writhe
 from skeinkit.errors import StabilizationError
-from skeinkit.poly import LaurentPoly, monomial
+from skeinkit.jones import colored_bracket, reduced_colored
+from skeinkit.poly import LaurentPoly, exact_divide, monomial
+from skeinkit.quantum import delta, gamma
 from skeinkit.tail import (
     QSeries, dot_eq, normalize, stabilization_check, tail_extract,
 )
@@ -140,3 +144,95 @@ def test_stabilization_check_reports_budget_exhaustion():
     rep = stabilization_check(rational_knot([5], 0), 5, max_width=4)
     assert not rep.complete
     assert not rep.all_true
+
+
+# The formulas of tail_extract and stabilization_check on the full
+# polynomials, kept as the oracle of the windowed computation.
+
+def full_tail(pd, k, side="tail"):
+    def at(n):
+        p = reduced_colored(pd, n)
+        return p.mirror() if side == "head" else p
+
+    ok, mismatch = dot_eq(at(k), at(k + 1), k)
+    if not ok:
+        raise StabilizationError(k, mismatch)
+    return list(normalize(at(k)).coeffs[:k])
+
+
+def full_stabilization(pd, n_max):
+    records = []
+    for n in range(2, n_max):
+        ok, mismatch = dot_eq(reduced_colored(pd, n),
+                              reduced_colored(pd, n + 1), n)
+        records.append({"color": n, "verdict": ok, "mismatch": mismatch})
+    return {"complete": True, "all_stable": all(r["verdict"]
+                                                for r in records),
+            "records": records}
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except StabilizationError as exc:
+        return ("unstable", exc.color, exc.mismatch_index)
+
+
+def assert_same_as_full(pd):
+    for side in ("tail", "head"):
+        for k in (1, 2, 3, 4):
+            assert outcome(tail_extract, pd, k, side) == \
+                outcome(full_tail, pd, k, side), (side, k)
+    got = stabilization_check(pd, 5).as_dict()
+    for r in got["records"]:
+        del r["seconds"]
+    assert got == full_stabilization(pd, 5)
+
+
+def test_windowed_results_equal_full_on_catalog():
+    for name in catalog_names():
+        assert_same_as_full(catalog_lookup(name))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=3)
+       .filter(lambda q: sum(q) <= 4), st.integers(0, 1))
+def test_windowed_results_equal_full_on_two_bridge(quotients, hand):
+    # knots and two-component links; links have half-step q-series
+    assert_same_as_full(rational_knot(quotients, hand))
+
+
+def test_windowed_results_equal_full_on_unknot_diagrams():
+    # one-crossing diagrams: the whole series fits in every window
+    for hand in (0, 1):
+        assert_same_as_full(rational_knot([1], hand))
+
+
+def test_two_component_links_keep_half_steps():
+    # even color dimensions give half-integer q-powers
+    for quotients in ([2], [4], [1, 3]):
+        pd = rational_knot(quotients, 0)
+        assert normalize(reduced_colored(pd, 4)).step_halves == 1
+        assert_same_as_full(pd)
+
+
+def test_windowed_unstable_side_keeps_color_and_mismatch():
+    width, word = TORUS_3_4_WORD
+    pd = braid_closure(width, word)
+    assert outcome(tail_extract, pd, 2, "head") == \
+        outcome(full_tail, pd, 2, "head") == ("unstable", 2, 1)
+
+
+def test_window_never_enters_the_colored_cache():
+    pd = catalog_lookup("6_2")
+    tail_extract(pd, 4)
+    got = reduced_colored(pd, 5)
+    row = SIX_TWO_ROWS[5]
+    s = normalize(got)
+    assert len(s.coeffs) - 1 == row["span"]
+    assert list(s.coeffs[:len(row["prefix"])]) == row["prefix"]
+    assert list(s.coeffs[row["suffix_at"]:]) == row["suffix"]
+    # the same value, computed afresh past the cache
+    frame = gamma(4, 4, 0) ** (-writhe(pd))
+    assert got == exact_divide(frame * colored_bracket.__wrapped__(pd, 4),
+                               delta(4))
