@@ -48,9 +48,8 @@ T + 2*c0 (:func:`certified_top`), which an A-adequate diagram attains.
 The bound holds for every diagram, adequate or not.  With ``floor=None``
 the kernel runs the full sweep and computes no bound.
 
-This module is deliberately free of package imports; the compiled kernel
-(_sweep_c) implements the same contract with int64 coefficients, without
-the window.
+This module is deliberately free of package imports.  It is the
+package's only sweep kernel; ``_kernel.run_packed`` is its entry point.
 """
 
 from operator import add, neg, sub

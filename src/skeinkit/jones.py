@@ -22,7 +22,7 @@ import itertools
 from typing import Optional, Sequence
 
 from . import diagram
-from ._kernel import compile_plan, pick_kernel, run_packed
+from ._kernel import compile_plan, run_packed
 from ._sweep_py import certified_top
 from ._sweep_py import replay_circles as _replay_packed
 from .errors import BudgetError, InternalError
@@ -38,8 +38,7 @@ def _packed_to_poly(base: int, coeffs: Sequence[int]) -> LaurentPoly:
 def bracket(pd: diagram.PDCode,
             plan: Optional[diagram.SweepPlan] = None,
             order: Optional[Sequence[int]] = None,
-            max_width: int = diagram.MAX_WIDTH,
-            kernel=None) -> LaurentPoly:
+            max_width: int = diagram.MAX_WIDTH) -> LaurentPoly:
     """Kauffman-style bracket of a diagram: loop value -A^2-A^-2,
     empty diagram 1, A-smoothing weight A.
 
@@ -50,8 +49,7 @@ def bracket(pd: diagram.PDCode,
         return delta(1) ** pd.extra_circles
     if plan is None:
         plan = diagram.plan_sweep(pd, order=order, max_width=max_width)
-    base, coeffs = run_packed(compile_plan(plan), kernel=pick_kernel(kernel)
-                              if kernel is not None else None)
+    base, coeffs = run_packed(compile_plan(plan))
     out = _packed_to_poly(base, coeffs)
     if pd.extra_circles:
         out = out * delta(1) ** pd.extra_circles

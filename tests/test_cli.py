@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -143,6 +146,13 @@ def test_width_budget_from_environment(monkeypatch, capsys):
                "--max-width", "40")[0] == 0
 
 
+def test_kernel_environment_is_ignored(monkeypatch, capsys):
+    want = run(capsys, "bracket", "catalog:3_1")
+    monkeypatch.setenv("SKEINKIT_KERNEL", "c")
+    assert run(capsys, "bracket", "catalog:3_1") == want
+    assert want[0] == 0
+
+
 def test_malformed_budget_environment_is_bad_input(monkeypatch, capsys):
     monkeypatch.setenv("SKEINKIT_MAX_WIDTH", "wide")
     try:
@@ -195,6 +205,16 @@ def test_time_limit_budget(capsys):
                        "--time-limit", "0.01")
     assert code == 3
     assert "time_limit" in err
+    # the limit trips inside a long sweep (the full 5-cable of 6_2 takes
+    # 14-30 s); a fresh process, so no cached invariant answers at once
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "skeinkit.cli", "cjones", "--color", "6",
+         "catalog:6_2", "--time-limit", "1"],
+        capture_output=True, text=True, timeout=60)
+    assert time.monotonic() - t0 < 5
+    assert proc.returncode == 3
+    assert "time_limit" in proc.stderr
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -108,8 +108,12 @@ def test_bracket_width_budget():
         bracket(catalog_lookup("6_2"), max_width=2)
 
 
-def test_library_ignores_budget_environment(monkeypatch):
-    monkeypatch.setenv("SKEINKIT_MAX_WIDTH", "2")
+@pytest.mark.parametrize("name, value", [
+    ("SKEINKIT_MAX_WIDTH", "2"), ("SKEINKIT_KERNEL", "c"),
+    ("SKEINKIT_KERNEL", "fortran"),
+])
+def test_library_ignores_environment(monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
     assert bracket(catalog_lookup("6_2")) == brute_force_bracket(
         catalog_lookup("6_2"))
 
