@@ -1,7 +1,8 @@
-"""The sweep's single entry point and plan compilation.
+"""The sweep's single entry point.
 
 Every sweep runs on ``skeinkit._sweep_py``: pure Python, arbitrary-precision
-integers, with an optional degree window (see ``_sweep_py.run``).
+integers, with an optional degree window (see ``_sweep_py.run``).  Its
+program is ``diagram.plan_sweep(pd).program``; nothing else compiles one.
 """
 
 from . import _sweep_py
@@ -19,13 +20,7 @@ def pick_kernel():
     return _sweep_py
 
 
-def compile_plan(plan):
-    """Flatten a SweepPlan into the tuple program the kernel consumes."""
-    return tuple(
-        (op.width_in, op.closures, op.keep, op.rank) for op in plan.ops)
-
-
 def run_packed(program, floor=None):
-    """Run a compiled program; with ``floor``, return only the terms of
+    """Run a sweep program; with ``floor``, return only the terms of
     exponent >= floor."""
     return _sweep_py.run(program, floor=floor)

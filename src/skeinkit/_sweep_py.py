@@ -8,24 +8,26 @@ exponent parity, so the half-steps are always empty.  Every stored list is
 stripped (nonzero first and last entry) and is never mutated afterwards,
 so the two branches of one state may share it.
 
-The kernel consumes a *program*: per crossing a tuple
+The kernel consumes a *program* (``diagram.SweepPlan.program``): per
+crossing a pair
 
-    (width_in, closures, keep, rank)
+    (width_in, closures)
 
 where the four new ends sit at indices width_in..width_in+3 (tuple-position
 order a, b, c, d), the A-branch pairs (a b)(c d) with weight A, the B-branch
-pairs (a d)(b c) with weight A^-1, ``closures`` lists index pairs to merge
-in the extended frame, and ``keep``/``rank`` re-pack the survivors.
+pairs (a d)(b c) with weight A^-1, and ``closures`` lists index pairs to
+merge in the extended frame.  The surviving ends keep their order and
+are re-packed to the lowest indices.
 
 Each step first builds its tables (:func:`_tables`): the 4-byte fresh tail
 of each branch, the closed indices in descending order, and a 256-byte
-rank table.  Then, per state and branch, :func:`_surgery` runs on a
-``bytearray`` of key + tail: it merges the closures, deletes the closed
-indices with ``del`` and re-packs with one ``bytes.translate``.  The
-coefficient work (multiplying by the loop value, adding two states) is
-slice assignment and ``map`` over :mod:`operator` functions.  So a state
-costs O(closures) bytecodes per branch, not O(width + coefficient span);
-the per-element work runs in C.
+table that re-packs the survivors.  Then, per state and branch,
+:func:`_surgery` runs on a ``bytearray`` of key + tail: it merges the
+closures, deletes the closed indices with ``del`` and re-packs with one
+``bytes.translate``.  The coefficient work (multiplying by the loop
+value, adding two states) is slice assignment and ``map`` over
+:mod:`operator` functions.  So a state costs O(closures) bytecodes per
+branch, not O(width + coefficient span); the per-element work runs in C.
 
 **Degree window.**  ``run(program, floor=f)`` returns exactly the terms of
 the bracket with exponent >= f, and sweeps only the states that can reach
@@ -57,15 +59,23 @@ from operator import add, neg, sub
 KERNEL_NAME = "py"
 
 
-def _tables(w0, closures, rank):
+def _keep(w0, closures):
+    """The indices of the extended frame that survive a step, in order."""
+    dead = set(sum(closures, ()))
+    return [i for i in range(w0 + 4) if i not in dead]
+
+
+def _tables(w0, closures):
     """The per-step tables: fresh tails of the A and B branches, closed
     indices in descending order, and the re-pack table for translate."""
     fresh_a = bytes((w0 + 1, w0, w0 + 3, w0 + 2))      # A: (ab)(cd)
     fresh_b = bytes((w0 + 3, w0 + 2, w0 + 1, w0))      # B: (ad)(bc)
     dead = sorted(sum(closures, ()), reverse=True)
-    # a closed index's rank (-1) wraps to 255; translate never sees it
-    table = bytes(map((255).__and__, rank)).ljust(256, b"\0")
-    return fresh_a, fresh_b, dead, table
+    # a closed index keeps entry 0; translate never sees it
+    table = bytearray(256)
+    for k, i in enumerate(_keep(w0, closures)):
+        table[i] = k
+    return fresh_a, fresh_b, dead, bytes(table)
 
 
 def _surgery(p, closures, dead, table):
@@ -85,9 +95,9 @@ def _surgery(p, closures, dead, table):
     return bytes(p).translate(table), loops
 
 
-def _step(states, w0, closures, rank):
+def _step(states, w0, closures):
     """Insert one crossing into every state; return the next state map."""
-    fresh_a, fresh_b, dead, table = _tables(w0, closures, rank)
+    fresh_a, fresh_b, dead, table = _tables(w0, closures)
     nxt = {}
     get = nxt.get
     for key, (base, co) in states.items():
@@ -140,8 +150,9 @@ def _all_a_cuts(program):
     cuts = []
     pairs = ()          # the all-A matching on the ends open after step t
     circles = 0
-    for w0, closures, keep, rank in reversed(program):
+    for w0, closures in reversed(program):
         cuts.append((len(cuts) + 2 * circles, pairs))
+        keep = _keep(w0, closures)
         root = list(range(w0 + 4))
 
         def find(x):
@@ -194,15 +205,15 @@ def run(program, floor=None):
     """
     states = {b"": (0, [1])}
     if floor is None:
-        for w0, closures, keep, rank in program:
-            states = _step(states, w0, closures, rank)
+        for w0, closures in program:
+            states = _step(states, w0, closures)
     else:
         top, cuts = _all_a_cuts(program)
         states = _prune(states, floor - top, ())
-        for (w0, closures, keep, rank), (reach, pairs) in zip(program, cuts):
+        for (w0, closures), (reach, pairs) in zip(program, cuts):
             if not states:
                 break
-            states = _prune(_step(states, w0, closures, rank),
+            states = _prune(_step(states, w0, closures),
                             floor - reach, pairs)
     if not states:
         return 0, []
@@ -214,15 +225,16 @@ def run(program, floor=None):
 def replay_circles(program, branches):
     """Circle count of one fully-smoothed state.
 
-    ``branches`` maps the program step index to 'A' or 'B'.  Runs the same
-    :func:`_surgery` as :func:`run`, so equality with an independent
-    circle count validates the kernel's merging logic.
+    ``branches[t]`` is 'A' or 'B', the smoothing of program step t (of
+    crossing ``plan.order[t]``).  Runs the same :func:`_surgery` as
+    :func:`run`, so equality with an independent circle count validates
+    the plan's wiring and the kernel's merging logic.
     """
     key = b""
     circles = 0
-    for step, (w0, closures, keep, rank) in enumerate(program):
-        fresh_a, fresh_b, dead, table = _tables(w0, closures, rank)
-        fresh = fresh_a if branches[step] == "A" else fresh_b
+    for (w0, closures), branch in zip(program, branches, strict=True):
+        fresh_a, fresh_b, dead, table = _tables(w0, closures)
+        fresh = fresh_a if branch == "A" else fresh_b
         key, loops = _surgery(bytearray(key + fresh), closures, dead, table)
         circles += loops
     return circles

@@ -15,7 +15,8 @@ This module handles everything that is purely diagrammatic:
 * the touch-graph of a state and adequacy decisions (:func:`adequacy`),
 * mirror images,
 * parallel cabling with per-component multiplicities (:func:`cable_multi`),
-* sweep plans for the state-sum engine (:func:`plan_sweep`),
+* sweep plans: a crossing order and the sweep kernel's program for it
+  (:func:`plan_sweep`),
 * a small built-in catalog of verified diagrams (:func:`catalog_lookup`).
 
 Smoothing conventions: for ``X[a, b, c, d]`` the A-smoothing joins the arc
@@ -366,14 +367,12 @@ def _check_state(pd: PDCode, state: Sequence[str]) -> str:
 class StateCircles:
     """Circles of a smoothed diagram.
 
-    ``arc_circle`` maps each arc label to its circle id (0-based, in order
-    of first appearance by port scan; crossing-free circles come last).
     ``crossing_strands`` gives, per crossing, the circle ids of the two
-    smoothing strands that replaced it.
+    smoothing strands that replaced it (0-based, numbered in order of
+    first appearance, scanning the crossings' ports in order).
     """
 
     count: int
-    arc_circle: dict
     crossing_strands: tuple[tuple[int, int], ...]
 
 
@@ -412,10 +411,6 @@ def apply_state(pd: PDCode, state: Sequence[str]) -> StateCircles:
         r = find(x)
         if r not in cid:
             cid[r] = len(cid)
-    arc_circle = {}
-    for a, ports in occ.items():
-        c, p = ports[0]
-        arc_circle[a] = cid[find(4 * c + p)]
     strands = []
     for ci, ch in enumerate(s):
         if ch == "A":
@@ -424,7 +419,6 @@ def apply_state(pd: PDCode, state: Sequence[str]) -> StateCircles:
             strands.append((cid[find(4 * ci)], cid[find(4 * ci + 1)]))
     return StateCircles(
         count=len(cid) + pd.extra_circles,
-        arc_circle=arc_circle,
         crossing_strands=tuple(strands),
     )
 
@@ -685,132 +679,71 @@ MAX_WIDTH = 40
 
 
 @dataclasses.dataclass(frozen=True)
-class SweepOp:
-    """One crossing insertion in a sweep, with precompiled bookkeeping.
+class SweepPlan:
+    """A crossing order and the sweep kernel's program for it.
 
-    ``width_in`` open ends exist before the crossing; its four new ends are
-    appended at indices width_in..width_in+3 in tuple-position order.  Then
-    ``closures`` (pairs of indices in the appended frame) are merged, and the
-    survivors are re-packed by ``keep``/``rank``.
+    ``program[t] = (width_in, closures)`` inserts crossing ``order[t]``:
+    ``width_in`` ends are open before it, its four new ends are appended
+    at indices width_in..width_in+3 in tuple-position order, and
+    ``closures`` lists the index pairs (one per arc that the crossing
+    closes) to merge in that extended frame.  The surviving ends keep
+    their order.  ``max_width`` is the peak number of open ends.
     """
 
-    crossing: int
-    width_in: int
-    closures: tuple[tuple[int, int], ...]
-    keep: tuple[int, ...]
-    rank: tuple[int, ...]          # old index -> new index or -1
-    width_out: int
-
-
-@dataclasses.dataclass(frozen=True)
-class SweepPlan:
-    """A crossing order plus per-step wiring for the pairing sweep."""
-
-    pd: PDCode
     order: tuple[int, ...]
-    ops: tuple[SweepOp, ...]
+    program: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
     max_width: int
 
 
 def plan_sweep(pd: PDCode,
                order: Optional[Sequence[int]] = None,
                max_width: int = MAX_WIDTH) -> SweepPlan:
-    """Choose a crossing order and precompile the sweep bookkeeping.
+    """Choose a crossing order and compile it into the kernel's program.
 
     Without an explicit order, a greedy heuristic repeatedly inserts the
-    crossing that minimizes the resulting number of open strand-ends.
-    Raises BudgetError when the peak width exceeds ``max_width``.
+    crossing that minimizes the resulting number of open strand-ends,
+    the lowest index on a tie.  Raises BudgetError when the peak width
+    exceeds ``max_width``.
     """
     analyze(pd)
     n = len(pd.crossings)
-    occ = _port_scan(pd)
-
-    def num_closures(open_ends: dict, ci: int) -> int:
-        """How many arcs close when crossing ci is inserted now."""
-        k = 0
-        seen_new = set()
-        for s in range(4):
-            arc = pd.crossings[ci][s]
-            if arc in seen_new:          # kink arc: closes immediately
-                k += 1
-            elif arc in open_ends:
-                k += 1
-            else:
-                seen_new.add(arc)
-        return k
-
-    if order is None:
-        remaining = set(range(n))
-        open_ends: dict[int, int] = {}
-        chosen = []
-        while remaining:
-            best = None
-            for ci in sorted(remaining):
-                k = num_closures(open_ends, ci)
-                w1 = len(open_ends) + 4 - 2 * k
-                key = (w1, ci)
-                if best is None or key < best[0]:
-                    best = (key, ci)
-            ci = best[1]
-            chosen.append(ci)
-            remaining.discard(ci)
-            # update open ends (indices are placeholders here; only
-            # membership matters for planning)
-            w0 = len(open_ends)
-            for s in range(4):
-                arc = pd.crossings[ci][s]
-                if arc in open_ends:
-                    del open_ends[arc]
-                else:
-                    open_ends[arc] = 1
-            # kink arcs appear twice among the four slots: both inserted
-            # and removed above, net zero — handled by the toggle.
-        order = chosen
-    else:
+    if order is not None:
         order = list(order)
         if sorted(order) != list(range(n)):
             raise PDError(f"order must be a permutation of 0..{n - 1}")
-
-    # compile ops with real index bookkeeping
-    ops = []
-    open_list: list[int] = []       # arc label at each open index
+    # inserting a crossing toggles the open set by the arcs that occur
+    # once in it; a kink arc occurs twice and closes at once
+    once = [frozenset(a for a in cr if cr.count(a) == 1)
+            for cr in pd.crossings]
+    remaining = list(range(n))
+    chosen = []
+    program = []
+    open_arcs: list[int] = []       # arc label at each open index
     peak = 0
-    for ci in order:
-        w0 = len(open_list)
-        frame = open_list + [pd.crossings[ci][s] for s in range(4)]
+    for t in range(n):
+        if order is None:
+            ci = min(remaining, key=lambda c: (
+                len(once[c].symmetric_difference(open_arcs)), c))
+            remaining.remove(ci)
+        else:
+            ci = order[t]
+        chosen.append(ci)
         first_at: dict[int, int] = {}
-        pairs = []
-        closed = set()
-        for idx, arc in enumerate(frame):
+        closures = []
+        for idx, arc in enumerate(open_arcs + list(pd.crossings[ci])):
             if arc in first_at:
-                i, j = first_at.pop(arc), idx
-                pairs.append((i, j))
-                closed.add(i)
-                closed.add(j)
+                closures.append((first_at.pop(arc), idx))
             else:
                 first_at[arc] = idx
-        # only pairs where at least one index is new close NOW; an arc fully
-        # inside open_list was already merged earlier — cannot happen.
-        keep = tuple(i for i in range(w0 + 4) if i not in closed)
-        rank = [-1] * (w0 + 4)
-        for k, i in enumerate(keep):
-            rank[i] = k
-        ops.append(SweepOp(
-            crossing=ci,
-            width_in=w0,
-            closures=tuple(pairs),
-            keep=keep,
-            rank=tuple(rank),
-            width_out=len(keep),
-        ))
-        peak = max(peak, len(keep))
-        open_list = [frame[i] for i in keep]
-    if open_list:
-        raise InternalError(f"sweep left open ends: {open_list}")
+        program.append((len(open_arcs), tuple(closures)))
+        open_arcs = list(first_at)
+        peak = max(peak, len(open_arcs))
+    if open_arcs:
+        raise InternalError(f"sweep left open ends: {open_arcs}")
     if peak > max_width:
         raise BudgetError("max_width", max_width, needed=peak,
                           detail="try another crossing order")
-    return SweepPlan(pd=pd, order=tuple(order), ops=tuple(ops),
+    return SweepPlan(order=tuple(chosen), program=tuple(program),
                      max_width=peak)
 
 

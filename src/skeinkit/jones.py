@@ -19,25 +19,34 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import diagram
-from ._kernel import compile_plan, run_packed
-from ._sweep_py import certified_top
-from ._sweep_py import replay_circles as _replay_packed
+from ._kernel import run_packed
 from .errors import BudgetError, InternalError
 from .poly import LaurentPoly, ONE, RationalFn, ZERO, exact_divide, truncate
 from .quantum import delta, gamma
 
 
-def _packed_to_poly(base: int, coeffs: Sequence[int]) -> LaurentPoly:
-    return LaurentPoly(tuple(
-        (base + 2 * j, c) for j, c in enumerate(coeffs) if c))
+def _swept(pd: diagram.PDCode, floor: Optional[int] = None,
+           max_width: int = diagram.MAX_WIDTH) -> LaurentPoly:
+    """The bracket of ``pd``; with ``floor``, only its terms of exponent
+    >= floor.  Plans and sweeps the crossings, then multiplies in delta
+    for each crossing-free circle."""
+    program = diagram.plan_sweep(pd, max_width=max_width).program \
+        if pd.crossings else ()
+    extra = pd.extra_circles
+    # the circles outside the sweep reach 2*extra above the swept terms
+    base, coeffs = run_packed(
+        program, floor=None if floor is None else floor - 2 * extra)
+    out = LaurentPoly(tuple(
+        (base + 2 * j, c) for j, c in enumerate(coeffs))) * delta(1) ** extra
+    if floor is None:
+        return out
+    return LaurentPoly(tuple(t for t in out.terms if t[0] >= floor))
 
 
 def bracket(pd: diagram.PDCode,
-            plan: Optional[diagram.SweepPlan] = None,
-            order: Optional[Sequence[int]] = None,
             max_width: int = diagram.MAX_WIDTH) -> LaurentPoly:
     """Kauffman-style bracket of a diagram: loop value -A^2-A^-2,
     empty diagram 1, A-smoothing weight A.
@@ -45,14 +54,7 @@ def bracket(pd: diagram.PDCode,
     Exponent support lies in a single parity class (the crossing count
     mod 2); this is checked on every call.
     """
-    if not pd.crossings:
-        return delta(1) ** pd.extra_circles
-    if plan is None:
-        plan = diagram.plan_sweep(pd, order=order, max_width=max_width)
-    base, coeffs = run_packed(compile_plan(plan))
-    out = _packed_to_poly(base, coeffs)
-    if pd.extra_circles:
-        out = out * delta(1) ** pd.extra_circles
+    out = _swept(pd, max_width=max_width)
     parity = len(pd.crossings) % 2
     if any((e - parity) % 2 for e, _ in out.terms):
         raise InternalError(
@@ -88,19 +90,6 @@ def brute_force_bracket(pd: diagram.PDCode,
         for e, c in powers[circles].terms:
             acc[e + exp] = acc.get(e + exp, 0) + c
     return LaurentPoly(tuple(acc.items()))
-
-
-def replay(plan: diagram.SweepPlan, state: Sequence[str]) -> int:
-    """Circle count of one smoothing state via the sweep's own surgery.
-
-    ``state`` is indexed by crossing (not by plan position).  Matching
-    :func:`skeinkit.diagram.apply_state` on every state certifies the
-    plan's wiring.
-    """
-    s = "".join(state).upper()
-    branches = [s[op.crossing] for op in plan.ops]
-    return _replay_packed(compile_plan(plan), branches) \
-        + plan.pd.extra_circles
 
 
 @functools.lru_cache(maxsize=None)
@@ -191,29 +180,27 @@ def reduced_colored_top(pd: diagram.PDCode, color_dim: int, terms: int,
     """The top ``terms`` q-coefficients of :func:`reduced_colored`.
 
     Returns ``(p, floor)``: p equals ``reduced_colored(pd, color_dim)`` on
-    the A-exponents >= floor and is zero below.  floor is the certified
-    top minus 4*(terms - 1), the top being the bound T + 2*c0 of the
-    cable with every component n-fold, after framing and division.  So p holds ``terms``
-    q-coefficients exactly when its top reaches floor + 4*(terms - 1),
-    which holds on an A-adequate diagram; callers check it.
+    the A-exponents >= floor and is zero below.  floor is the top minus
+    4*(terms - 1), after framing and division; the top is the bound
+    T + 2*c0 on the bracket of the cable with every component n-fold, for
+    its T crossings and the c0 circles of its all-A state.  So p holds
+    ``terms`` q-coefficients exactly when its top reaches
+    floor + 4*(terms - 1), which holds on an A-adequate diagram; callers
+    check it.
     """
     if color_dim < 1 or terms < 1:
         raise ValueError("color dimension and terms must be >= 1")
     n = color_dim - 1
-    cables = []
-    for weight, cabled in _cables(pd, n):
-        program = compile_plan(diagram.plan_sweep(
-            cabled, max_width=max_width)) if cabled.crossings else ()
-        cables.append((weight, cabled.extra_circles, program))
-    # the all-n cable's top bounds the others
-    _, extra, program = cables[-1]
-    floor = certified_top(program) + 2 * extra - 4 * (terms - 1)
+    cables = list(_cables(pd, n))
+    # the all-n cable's top bounds the others; at color_dim 1 it is empty
+    full = cables[-1][1]
+    floor = len(full.crossings) - 4 * (terms - 1)
+    if full.crossings or full.extra_circles:
+        floor += 2 * diagram.apply_state(full, diagram.all_a(full)).count
     total = ZERO
-    for weight, extra, program in cables:
-        # loops outside the sweep reach 2*extra above the swept terms
-        swept = _packed_to_poly(*run_packed(program, floor=floor - 2 * extra))
-        total = total + weight * swept * delta(1) ** extra
-    total = LaurentPoly(tuple(t for t in total.terms if t[0] >= floor))
+    # widest first, so that its plan trips the width budget before any sweep
+    for weight, cabled in reversed(cables):
+        total = total + weight * _swept(cabled, floor, max_width)
     frame = gamma(n, n, 0) ** (-diagram.writhe(pd))
     top = frame * total
     floor += frame.max_degree() - 2 * n

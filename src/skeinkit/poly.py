@@ -207,27 +207,43 @@ def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         raise ExactnessError("division by the zero polynomial")
     if p.is_zero:
         return ZERO
-    qd = dict(q.terms)
-    q_min = q.min_degree()
-    q_lead = qd[q_min]
-    e_max = p.max_degree() - q.max_degree()
-    rem = dict(p.terms)
+    out, rem = _divide_low(p, q, p.max_degree() - q.max_degree() + 1)
+    if rem:
+        raise ExactnessError(f"{q} does not divide {p} exactly")
+    return LaurentPoly(tuple(out.items()))
+
+
+def _divide_low(num: LaurentPoly, den: LaurentPoly,
+                stop: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Long division from the low-degree end, up to quotient exponent
+    ``stop`` (exclusive); returns (quotient slots, remainder).
+
+    Raises ExactnessError at a step that does not divide over the
+    integers.
+    """
+    d = dict(den.terms)
+    d_min = den.min_degree()
+    lead = d[d_min]
+    rem = dict(num.terms)
     out: dict[int, int] = {}
     while rem:
         r_min = min(rem)
-        e = r_min - q_min
-        c, m = divmod(rem[r_min], q_lead)
-        if m or e > e_max:
-            raise ExactnessError(f"{q} does not divide {p} exactly")
+        e = r_min - d_min
+        if e >= stop:
+            break
+        c, m = divmod(rem[r_min], lead)
+        if m:
+            raise ExactnessError(
+                f"{den} does not divide {num} over the integers")
         out[e] = c
-        for qe, qc in qd.items():
-            k = qe + e
-            v = rem.get(k, 0) - qc * c
+        for de, dc in d.items():
+            k = de + e
+            v = rem.get(k, 0) - dc * c
             if v:
                 rem[k] = v
             else:
                 rem.pop(k, None)
-    return LaurentPoly(tuple(out.items()))
+    return out, rem
 
 
 @dataclasses.dataclass(frozen=True, slots=True, eq=False)
@@ -304,10 +320,6 @@ class RationalFn:
     def truncate(self, k: int) -> LaurentPoly:
         return truncate(self, k)
 
-    def to_poly(self) -> LaurentPoly:
-        """Exact quotient as a polynomial (raises if den does not divide num)."""
-        return exact_divide(self.num, self.den)
-
     def __str__(self) -> str:
         if self.den == ONE:
             return str(self.num)
@@ -325,28 +337,7 @@ def truncate(r: RationalFn, k: int) -> LaurentPoly:
     """
     if k <= 0 or r.num.is_zero:
         return ZERO
-    den = dict(r.den.terms)
-    d_min = r.den.min_degree()
-    lead = den[d_min]
-    rem = dict(r.num.terms)
-    d0 = min(rem) - d_min
-    out: dict[int, int] = {}
-    while rem:
-        e = min(rem) - d_min
-        if e >= d0 + k:
-            break
-        c, m = divmod(rem[min(rem)], lead)
-        if m:
-            raise ExactnessError(
-                "series expansion leaves the integer coefficient ring")
-        out[e] = c
-        for de, dc in den.items():
-            key = de + e
-            v = rem.get(key, 0) - dc * c
-            if v:
-                rem[key] = v
-            else:
-                rem.pop(key, None)
+    out, _ = _divide_low(r.num, r.den, r.min_degree() + k)
     return LaurentPoly(tuple(out.items()))
 
 

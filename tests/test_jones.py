@@ -8,14 +8,13 @@ from hypothesis import assume, given, settings, strategies as st
 from oracles import CORPUS_JONES, braid_closure
 from skeinkit.construct import rational_knot, with_kink
 from skeinkit.diagram import (
-    PDCode, adequacy, analyze, apply_state, cable, cable_multi, catalog_lookup,
-    catalog_names, format_pd, mirror, parse_pd, plan_sweep,
+    PDCode, adequacy, analyze, cable_multi, catalog_lookup, catalog_names,
+    format_pd, mirror, parse_pd,
 )
 from skeinkit.errors import BudgetError
 from skeinkit.jones import (
     bracket, brute_force_bracket, chebyshev_coefficients, colored_bracket,
-    jones_polynomial, reduced_colored, reduced_colored_top, replay,
-    unreduced_colored,
+    jones_polynomial, reduced_colored, reduced_colored_top, unreduced_colored,
 )
 from skeinkit.poly import LaurentPoly, ONE, to_q
 from skeinkit.quantum import delta
@@ -93,14 +92,6 @@ def test_sweep_matches_brute_force_on_cables(case):
     pd = cable_multi(rational_knot(quotients, hand), mults)
     assume(len(pd.crossings) <= 12)
     assert bracket(pd) == brute_force_bracket(pd)
-
-
-def test_replay_certifies_plan_wiring():
-    pd = catalog_lookup("6_2")
-    plan = plan_sweep(pd)
-    for bits in range(64):
-        state = ["AB"[(bits >> i) & 1] for i in range(6)]
-        assert replay(plan, state) == apply_state(pd, state).count
 
 
 def test_bracket_width_budget():
