@@ -28,8 +28,8 @@ from .poly import LaurentPoly, ONE, RationalFn, ZERO, exact_divide, truncate
 from .quantum import delta, gamma
 
 
-def _swept(pd: diagram.PDCode, floor: Optional[int] = None,
-           max_width: int = diagram.MAX_WIDTH) -> LaurentPoly:
+def _swept(pd: diagram.PDCode, floor: Optional[int],
+           max_width: int) -> LaurentPoly:
     """The bracket of ``pd``; with ``floor``, only its terms of exponent
     >= floor.  Plans and sweeps the crossings, then multiplies in delta
     for each crossing-free circle."""
@@ -54,7 +54,7 @@ def bracket(pd: diagram.PDCode,
     Exponent support lies in a single parity class (the crossing count
     mod 2); this is checked on every call.
     """
-    out = _swept(pd, max_width=max_width)
+    out = _swept(pd, None, max_width)
     parity = len(pd.crossings) % 2
     if any((e - parity) % 2 for e, _ in out.terms):
         raise InternalError(
