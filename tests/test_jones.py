@@ -7,9 +7,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oracles import CORPUS_JONES, braid_closure
 from skeinkit.construct import rational_knot, with_kink
+from skeinkit._sweep_py import replay_circles
 from skeinkit.diagram import (
-    PDCode, adequacy, analyze, cable_multi, catalog_lookup, catalog_names,
-    format_pd, mirror, parse_pd,
+    PDCode, adequacy, analyze, apply_state, cable_multi, catalog_lookup,
+    catalog_names, format_pd, mirror, parse_pd, plan_sweep,
 )
 from skeinkit.errors import BudgetError
 from skeinkit.jones import (
@@ -92,6 +93,16 @@ def test_sweep_matches_brute_force_on_cables(case):
     pd = cable_multi(rational_knot(quotients, hand), mults)
     assume(len(pd.crossings) <= 12)
     assert bracket(pd) == brute_force_bracket(pd)
+
+
+def test_replay_certifies_plan_wiring():
+    pd = catalog_lookup("6_2")
+    plan = plan_sweep(pd)
+    for bits in range(64):
+        state = ["AB"[(bits >> i) & 1] for i in range(6)]
+        branches = [state[c] for c in plan.order]
+        assert replay_circles(plan.program, branches) \
+            == apply_state(pd, state).count
 
 
 def test_bracket_width_budget():
