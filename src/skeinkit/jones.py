@@ -180,27 +180,40 @@ def reduced_colored_top(pd: diagram.PDCode, color_dim: int, terms: int,
     """The top ``terms`` q-coefficients of :func:`reduced_colored`.
 
     Returns ``(p, floor)``: p equals ``reduced_colored(pd, color_dim)`` on
-    the A-exponents >= floor and is zero below.  floor is the top minus
-    4*(terms - 1), after framing and division; the top is the bound
-    T + 2*c0 on the bracket of the cable with every component n-fold, for
-    its T crossings and the c0 circles of its all-A state.  So p holds
-    ``terms`` q-coefficients exactly when its top reaches
-    floor + 4*(terms - 1), which holds on an A-adequate diagram; callers
-    check it.
+    the A-exponents >= floor and is zero below; its top is the true top,
+    and it holds ``terms`` q-coefficients unless it is the whole invariant.
+    The bracket of the all-n cable, with T crossings and c_A, c_B circles
+    in its all-A, all-B states, bounds every cable's between -(T + 2*c_B)
+    and T + 2*c_A.  The window descends from that top, which an A-adequate
+    diagram attains: a window that shows a lower top is swept again with
+    the floor under it, an empty one steps down further each time, and at
+    the bottom bound the window is the full sweep.
     """
     if color_dim < 1 or terms < 1:
         raise ValueError("color dimension and terms must be >= 1")
     n = color_dim - 1
     cables = list(_cables(pd, n))
-    # the all-n cable's top bounds the others; at color_dim 1 it is empty
+    # at color_dim 1 the all-n cable is empty and its bracket is 1
     full = cables[-1][1]
-    floor = len(full.crossings) - 4 * (terms - 1)
+    ceiling = bottom = 0
     if full.crossings or full.extra_circles:
-        floor += 2 * diagram.apply_state(full, diagram.all_a(full)).count
-    total = ZERO
-    # widest first, so that its plan trips the width budget before any sweep
-    for weight, cabled in reversed(cables):
-        total = total + weight * _swept(cabled, floor, max_width)
+        t = len(full.crossings)
+        ceiling = t + 2 * diagram.apply_state(full, diagram.all_a(full)).count
+        bottom = -t - 2 * diagram.apply_state(full, diagram.all_b(full)).count
+    span, step = 4 * (terms - 1), 4 * terms
+    floor = max(ceiling - span, bottom)
+    while True:
+        # widest first, so that its plan trips the width budget before
+        # any sweep
+        total = sum((w * _swept(c, floor, max_width)
+                     for w, c in reversed(cables)), ZERO)
+        if floor == bottom or (not total.is_zero
+                               and total.max_degree() >= floor + span):
+            break
+        # a nonzero window shows the true top; an empty one steps down
+        floor = max(bottom, floor - step if total.is_zero
+                    else total.max_degree() - span)
+        step *= 2
     frame = gamma(n, n, 0) ** (-diagram.writhe(pd))
     top = frame * total
     floor += frame.max_degree() - 2 * n

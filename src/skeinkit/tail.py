@@ -11,12 +11,12 @@ series is the *tail* (and, at the other end of the polynomial, the
 This module provides the comparison, the extraction of verified stable
 coefficients, and a per-color verification harness used by the CLI.
 
-Both compare only the first few coefficients, so on a side where the
-diagram is adequate (and planar) they compute only those: the top of the
-reduced invariant, by :func:`skeinkit.jones.reduced_colored_top`.  There
-the top is certified, and the window equals the full polynomial's top;
-a window that cannot show what is compared falls back to the full
-polynomials, so results never depend on the window.
+Both compare only the first few coefficients, so on a planar diagram
+they compute only those: the top of the reduced invariant, in a window
+that :func:`skeinkit.jones.reduced_colored_top` lowers until it holds
+them, and widened here until it decides what the full polynomials
+would.  So results never depend on the window, and a code that is not
+planar uses the full polynomials.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import dataclasses
 import time
 from typing import Union
 
-from .diagram import MAX_WIDTH, PDCode, adequacy, genus, mirror
+from .diagram import MAX_WIDTH, PDCode, genus, mirror
 from .errors import BudgetError, StabilizationError
 from .jones import reduced_colored, reduced_colored_top
 from .poly import LaurentPoly, QPresentation, to_q
@@ -101,40 +101,25 @@ def dot_eq(p1, p2, n: int) -> tuple[bool, int | None]:
 
 
 def _window_diagram(d: PDCode, side: str):
-    """The diagram whose top A-end carries ``side`` of d's series, if
-    that end can be windowed: d is planar, has crossings, and is
-    A-adequate (tail) or B-adequate (head, the mirror's tail).
-
-    Planarity keeps every exponent of the invariant in one class mod 4,
-    so the window's normalization step is the full series' step.
-    Returns None when the side needs the full polynomials.
-    """
-    if not d.crossings or genus(d):
+    """The diagram whose top A-end carries ``side`` of d's series, or
+    None for a code that is not planar: its exponents can mix classes
+    mod 4, so a window's normalization step need not be the series'."""
+    if genus(d):
         return None
-    rep = adequacy(d)
-    if side == "tail":
-        return d if rep.a_adequate else None
-    return mirror(d) if rep.b_adequate else None
-
-
-def _full(d: PDCode, color_dim: int, side: str,
-          max_width: int) -> LaurentPoly:
-    p = reduced_colored(d, color_dim, max_width=max_width)
-    return p.mirror() if side == "head" else p
+    return d if side == "tail" else mirror(d)
 
 
 def _series(d: PDCode, window_pd, color_dim: int, terms: int, side: str,
             max_width: int) -> tuple[LaurentPoly, int | None]:
-    """(series, floor) of one color.  With a window diagram and a
-    certified top, the series is exact on the A-exponents >= floor,
-    which hold its top ``terms`` q-coefficients; otherwise it is the
-    full series and floor is None."""
-    if window_pd is not None:
-        p, floor = reduced_colored_top(window_pd, color_dim, terms,
-                                       max_width=max_width)
-        if not p.is_zero and p.max_degree() >= floor + 4 * (terms - 1):
-            return p, floor
-    return _full(d, color_dim, side, max_width), None
+    """(series, held) of one color: the top held >= terms q-coefficients
+    of the series are exact.  held is None when the series is whole."""
+    if window_pd is None:
+        p = reduced_colored(d, color_dim, max_width=max_width)
+        return (p.mirror() if side == "head" else p), None
+    p, floor = reduced_colored_top(window_pd, color_dim, terms,
+                                   max_width=max_width)
+    held = (p.max_degree() - floor) // 4 + 1
+    return p, (held if held >= terms else None)
 
 
 def tail_extract(d: PDCode, k: int, side: str = "tail",
@@ -145,16 +130,17 @@ def tail_extract(d: PDCode, k: int, side: str = "tail",
     they agree below q^k before reporting anything; a disagreement
     raises StabilizationError with the witness.  The head is the tail
     of the mirrored polynomial (q -> 1/q).  ``max_width`` bounds each
-    sweep, as in :func:`skeinkit.jones.reduced_colored`.  On an adequate
-    side only the top k q-coefficients of each color are computed; they
-    decide the comparison below q^k, the witness included.
+    sweep, as in :func:`skeinkit.jones.reduced_colored`.  On a planar
+    code only the top k q-coefficients of each color are computed (and
+    the lowest term, when they end in zeros); they decide the
+    comparison below q^k, the witness included.
     """
     if k < 1:
         raise ValueError("need k >= 1 coefficients")
     if side not in ("tail", "head"):
         raise ValueError(f"side must be 'tail' or 'head', not {side!r}")
     window_pd = _window_diagram(d, side)
-    jk, floor = _series(d, window_pd, k, k, side, max_width)
+    jk, held = _series(d, window_pd, k, k, side, max_width)
     jk1, _ = _series(d, window_pd, k + 1, k, side, max_width)
     ok, mismatch = dot_eq(jk, jk1, k)
     if not ok:
@@ -162,16 +148,13 @@ def tail_extract(d: PDCode, k: int, side: str = "tail",
                                  detail=f"{side} coefficients beyond this "
                                         f"offset are not stable")
     coeffs = list(normalize(jk).coeffs[:k])
-    if len(coeffs) < k and floor is not None:
-        # the window's k coefficients are exact, zeros included, and the
-        # series goes on past them iff it has a term below the window;
-        # a nonzero 1-term window of the mirror holds its lowest term
+    if held is not None and len(coeffs) < k:
+        # zeros that end the window are the series' own only if a term
+        # follows them; the mirror's 1-term window holds the lowest term
         low, _ = reduced_colored_top(mirror(window_pd), k, 1,
                                      max_width=max_width)
-        if not low.is_zero and -low.max_degree() < floor:
+        if -low.max_degree() < jk.max_degree() - 4 * (held - 1):
             coeffs += [0] * (k - len(coeffs))
-        else:
-            coeffs = list(normalize(_full(d, k, side, max_width)).coeffs[:k])
     return coeffs
 
 
@@ -207,22 +190,21 @@ class StabilizationReport:
                 "records": [r.as_dict() for r in self.records]}
 
 
-def _compare(d: PDCode, prev, cur, n: int, max_width: int):
-    """dot_eq of colors n and n+1, each a (series, floor) pair from
-    :func:`_series` with windows of at least n+1 terms.
-
-    Such windows hold the first difference when it lies at offset <= n
-    (in q-units); otherwise the pair is compared on the full series.
-    """
-    (p1, f1), (p2, f2) = prev, cur
-    ok, mismatch = dot_eq(p1, p2, n)
-    if f1 is None and f2 is None:
-        return ok, mismatch
-    step = min(normalize(p1).step_halves, normalize(p2).step_halves)
-    if mismatch is not None and step * mismatch <= 2 * n:
-        return ok, mismatch
-    return dot_eq(reduced_colored(d, n, max_width=max_width),
-                  reduced_colored(d, n + 1, max_width=max_width), n)
+def _compare(d: PDCode, window_pd, prev, cur, n: int, max_width: int):
+    """dot_eq of colors n and n+1, each a (series, held) pair from
+    :func:`_series`, both widened until they hold the first difference
+    or are whole; and color n+1 as widened."""
+    while True:
+        (p1, h1), (p2, h2) = prev, cur
+        ok, mismatch = dot_eq(p1, p2, n)
+        held = min((h for h in (h1, h2) if h is not None), default=None)
+        if held is None:
+            return ok, mismatch, cur
+        step = min(normalize(p1).step_halves, normalize(p2).step_halves)
+        if mismatch is not None and step * mismatch < 2 * held:
+            return ok, mismatch, cur
+        prev = _series(d, window_pd, n, 2 * held, "tail", max_width)
+        cur = _series(d, window_pd, n + 1, 2 * held, "tail", max_width)
 
 
 def stabilization_check(d: PDCode, n_max: int,
@@ -230,9 +212,9 @@ def stabilization_check(d: PDCode, n_max: int,
     """Compare consecutive colors up to n_max.
 
     Each record says whether the reduced invariants at colors N and N+1
-    agree below q^N, and where they first differ.  On an A-adequate
-    diagram each color is first computed in a window of N+1 terms; a
-    pair whose first difference lies outside it is recomputed in full.
+    agree below q^N, and where they first differ.  Each color is first
+    computed in a window of N+1 terms, which :func:`_compare` widens
+    while a pair's first difference lies outside it.
     A budget overrun (``max_width``, or a time limit raised as
     BudgetError) stops the scan and flags the report incomplete rather
     than raising.
@@ -251,7 +233,8 @@ def stabilization_check(d: PDCode, n_max: int,
             cur = _series(d, window_pd, color, min(color + 1, n_max),
                           "tail", max_width)
             if prev is not None:
-                ok, mismatch = _compare(d, prev, cur, color - 1, max_width)
+                ok, mismatch, cur = _compare(d, window_pd, prev, cur,
+                                             color - 1, max_width)
                 records.append(StabilizationRecord(
                     color - 1, ok, mismatch, time.monotonic() - t0))
         except BudgetError:

@@ -1,14 +1,18 @@
 """Series normalization, order-n agreement, and stable coefficients."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
     SIX_TWO_HEAD_3, SIX_TWO_ROWS, SIX_TWO_TAIL_5, TORUS_3_4_WORD,
     braid_closure,
 )
+from skeinkit import tail
 from skeinkit.construct import rational_knot
-from skeinkit.diagram import catalog_lookup, catalog_names, mirror, writhe
+from skeinkit.diagram import (
+    adequacy, catalog_lookup, catalog_names, format_pd, genus, mirror,
+    parse_pd, writhe,
+)
 from skeinkit.errors import StabilizationError
 from skeinkit.jones import colored_bracket, reduced_colored
 from skeinkit.poly import LaurentPoly, exact_divide, monomial
@@ -140,10 +144,11 @@ def test_stabilization_check_requires_three_colors():
 
 
 def test_stabilization_check_reports_budget_exhaustion():
-    from skeinkit.construct import rational_knot
-    rep = stabilization_check(rational_knot([5], 0), 5, max_width=4)
-    assert not rep.complete
-    assert not rep.all_true
+    # an adequate diagram, and one whose window descends
+    for pd in (rational_knot([5], 0), catalog_lookup("3_1_badequate")):
+        rep = stabilization_check(pd, 5, max_width=4)
+        assert not rep.complete
+        assert not rep.all_true
 
 
 # The formulas of tail_extract and stabilization_check on the full
@@ -178,20 +183,26 @@ def outcome(fn, *args):
         return ("unstable", exc.color, exc.mismatch_index)
 
 
-def assert_same_as_full(pd):
+def assert_same_as_full(pd, k_max=4, n_max=5):
     for side in ("tail", "head"):
-        for k in (1, 2, 3, 4):
+        for k in range(1, k_max + 1):
             assert outcome(tail_extract, pd, k, side) == \
                 outcome(full_tail, pd, k, side), (side, k)
-    got = stabilization_check(pd, 5).as_dict()
+    got = stabilization_check(pd, n_max).as_dict()
     for r in got["records"]:
         del r["seconds"]
-    assert got == full_stabilization(pd, 5)
+    assert got == full_stabilization(pd, n_max)
 
 
 def test_windowed_results_equal_full_on_catalog():
+    # 3_1_badequate's A side (its tail) is not adequate, its B side is;
+    # its mirror swaps them
+    badequate = catalog_lookup("3_1_badequate")
+    assert not adequacy(badequate).a_adequate
+    assert adequacy(badequate).b_adequate
     for name in catalog_names():
         assert_same_as_full(catalog_lookup(name))
+    assert_same_as_full(mirror(badequate))
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
@@ -216,11 +227,49 @@ def test_two_component_links_keep_half_steps():
         assert_same_as_full(pd)
 
 
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(st.integers(3, 4),
+       st.lists(st.integers(-3, 3).filter(bool), min_size=3, max_size=4))
+def test_windowed_results_equal_full_on_braid_closures(width, word):
+    # mixed signs: a side that is not adequate descends from the
+    # certified top, which it does not reach
+    word = [g if abs(g) < width else (width - 1) * (1 if g > 0 else -1)
+            for g in word]
+    assume(min(word) < 0 < max(word))
+    assume({abs(g) for g in word} == set(range(1, width)))
+    assert_same_as_full(braid_closure(width, word))
+
+
+def test_windowed_results_equal_full_on_split_diagrams():
+    # a split circle pushes the first difference of J_N and J_N+1 far
+    # past the N+1-term windows (to N^2 on the Hopf link): the
+    # comparison widens until both windows hold it
+    for base in (rational_knot([2], 0), catalog_lookup("3_1")):
+        assert_same_as_full(parse_pd(format_pd(base) + " O"))
+
+
 def test_windowed_unstable_side_keeps_color_and_mismatch():
+    # the exit-4 witness: the head of this torus diagram is not adequate
+    # and never settles; colors up to 4 keep the full oracle's
+    # 72-crossing cables cheap
     width, word = TORUS_3_4_WORD
     pd = braid_closure(width, word)
     assert outcome(tail_extract, pd, 2, "head") == \
         outcome(full_tail, pd, 2, "head") == ("unstable", 2, 1)
+    assert_same_as_full(pd, k_max=3, n_max=4)
+
+
+def test_virtual_trefoil_keeps_the_full_path(monkeypatch):
+    # genus 1: its exponents mix classes mod 4, so no window is taken;
+    # from color 4 on its cabled invariant is not divisible at all
+    pd = parse_pd("X[1,3,2,4] X[2,4,3,1]")
+    assert genus(pd) == 1
+
+    def no_window(*args, **kwargs):
+        raise AssertionError("a non-planar code was windowed")
+
+    monkeypatch.setattr(tail, "reduced_colored_top", no_window)
+    assert_same_as_full(pd, k_max=2, n_max=3)
 
 
 def test_window_never_enters_the_colored_cache():
