@@ -20,7 +20,8 @@ def pick_kernel():
     return _sweep_py
 
 
-def run_packed(program, floor=None):
+def run_packed(program, floor=None, identity=b""):
     """Run a sweep program; with ``floor``, return only the terms of
-    exponent >= floor."""
-    return _sweep_py.run(program, floor=floor)
+    exponent >= floor; with ``identity``, the coefficient of that
+    matching of the ends the program leaves open."""
+    return _sweep_py.run(program, floor=floor, identity=identity)

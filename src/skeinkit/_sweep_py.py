@@ -50,6 +50,13 @@ T + 2*c0 (:func:`certified_top`), which an A-adequate diagram attains.
 The bound holds for every diagram, adequate or not.  With ``floor=None``
 the kernel runs the full sweep and computes no bound.
 
+**Cut arcs.**  A plan that cuts arcs open (``diagram.plan_sweep(pd,
+cut=...)``) leaves their ends open to the end.  ``run(program,
+identity=key)`` returns the coefficient of one matching of those ends,
+the identity, which joins each cut arc up again; :func:`_dead_pairs`
+drops on the way every state that cannot reach it.  ``jones`` uses this
+for the colored bracket of a long knot.
+
 This module is deliberately free of package imports.  It is the
 package's only sweep kernel; ``_kernel.run_packed`` is its entry point.
 """
@@ -196,15 +203,129 @@ def _prune(states, low, pairs):
     return out
 
 
-def run(program, floor=None):
+def _dead_pairs(program, identity):
+    """For each cut, the pairs of open ends that no state may hold if it
+    is to reach the matching ``identity`` of the ends left open at the end.
+
+    Returns one tuple per step, for the cut after it: pairs (i, js), the
+    end i must not be paired with any end in the bytes js.  Two rules:
+
+    * boundary: a cut end (open to the end) paired with another cut end
+      other than its partner in ``identity`` stays so;
+    * turnback: the strand paths from two ends through the crossings
+      still to come both run to cut ends, and cross the same arcs
+      (rungs) in the same order with the same over/under role, the
+      rungs on the facing sides.  The strip between the paths is a
+      chain of faces, so a cap on the two ends slides by Reidemeister II
+      moves onto their cut ends, and every completion pairs those.
+
+    One backward pass over the program, as in :func:`_all_a_cuts`.
+    ``closer[i]`` names the arc that closes open end i later: (step,
+    closure index), or ("cut", final index).  ``legs[i]`` is None, or
+    (right, left, f) when the path from end i runs to the cut end of
+    final index f: right and left are interned ids of the rungs on each
+    side of the path, None where one of them is a kink or a cut arc.
+    """
+    closer = [("cut", f) for f in range(len(identity))]
+    legs = [None] * len(identity)
+    chains = {}
+
+    def chain(link):
+        return chains.setdefault(link, len(chains) + 1)
+
+    out = []
+    for s in range(len(program) - 1, -1, -1):
+        out.append(_cut_pairs(closer, legs, identity))
+        w0, closures = program[s]
+        ext_closer = [None] * (w0 + 4)
+        ext_legs = [None] * (w0 + 4)
+        for k, x in enumerate(_keep(w0, closures)):
+            ext_closer[x] = closer[k]
+            ext_legs[x] = legs[k]
+        mate = {}
+        for k, (i, j) in enumerate(closures):
+            ext_closer[i] = ext_closer[j] = (s, k)
+            mate[i], mate[j] = j, i
+
+        def rung(x):
+            # the arc at new end x; a kink or a cut arc bounds no strip
+            c = ext_closer[x]
+            kink = x in mate and mate[x] >= w0
+            return None if kink or c[0] == "cut" else c
+
+        legs = ext_legs[:w0]
+        for x in range(w0):
+            if x not in mate:
+                continue
+            # old end x enters this crossing at mate[x]; walk straight
+            # through it (twice over a kink) to the end it leaves by
+            visits = []
+            y = mate[x]
+            while y is not None:
+                q = y - w0
+                visits.append((q & 1, rung(w0 + (q + 1) % 4),
+                               rung(w0 + (q + 3) % 4)))
+                z = w0 + (q ^ 2)
+                if z not in mate:
+                    break
+                y = mate[z] if mate[z] >= w0 else None
+            c = ext_closer[z]
+            tail = (0, 0, c[1]) if c[0] == "cut" else ext_legs[z]
+            if y is None or tail is None:
+                continue
+            right, left, f = tail
+            for role, r, l in reversed(visits):
+                right = None if None in (r, right) \
+                    else chain((role, r, right))
+                left = None if None in (l, left) else chain((role, l, left))
+            legs[x] = (right, left, f)
+        closer = ext_closer[:w0]
+    out.reverse()
+    return out
+
+
+def _cut_pairs(closer, legs, identity):
+    """The dead pairs of one cut (see :func:`_dead_pairs`)."""
+    bad = {}
+    cut = {c[1]: i for i, c in enumerate(closer) if c[0] == "cut"}
+    for f, i in cut.items():
+        bad[i] = {j for g, j in cut.items() if g not in (f, identity[f])}
+    by_left = {}
+    for j, leg in enumerate(legs):
+        if leg and leg[1] is not None:
+            by_left.setdefault(leg[1], []).append((j, leg[2]))
+    for i, leg in enumerate(legs):
+        if leg and leg[0] is not None:
+            # paths to the two halves of one cut arc bound no strip that
+            # ends on the cut
+            bad.setdefault(i, set()).update(
+                j for j, g in by_left.get(leg[0], ())
+                if g != identity[leg[2]])
+    return tuple((i, bytes(sorted(js))) for i, js in bad.items() if js)
+
+
+def run(program, floor=None, identity=b""):
     """Execute a sweep program; return the packed bracket (base, coeffs).
 
     The empty diagram gives (0, [1]).  With ``floor``, return only the
     terms with exponent >= floor (exactly those of the full bracket);
     ``(0, [])`` when there are none.
+
+    A program that leaves ends open (a plan with cut arcs) returns the
+    coefficient of the matching ``identity`` of those ends, and drops
+    on the way every state that cannot reach it (:func:`_dead_pairs`).
     """
     states = {b"": (0, [1])}
-    if floor is None:
+    if identity:
+        if floor is not None:
+            raise ValueError("a degree window needs a closed diagram")
+        for (w0, closures), bad in zip(program,
+                                       _dead_pairs(program, identity)):
+            states = _step(states, w0, closures)
+            if bad:
+                states = {k: v for k, v in states.items()
+                          if not any(k[i] in js for i, js in bad)}
+    elif floor is None:
         for w0, closures in program:
             states = _step(states, w0, closures)
     else:
@@ -217,9 +338,9 @@ def run(program, floor=None):
                             floor - reach, pairs)
     if not states:
         return 0, []
-    if len(states) != 1 or b"" not in states:
+    if len(states) != 1 or identity not in states:
         raise AssertionError("sweep ended with open strand-ends")
-    return states[b""]
+    return states[identity]
 
 
 def replay_circles(program, branches):

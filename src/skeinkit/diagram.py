@@ -15,8 +15,8 @@ This module handles everything that is purely diagrammatic:
 * the touch-graph of a state and adequacy decisions (:func:`adequacy`),
 * mirror images,
 * parallel cabling with per-component multiplicities (:func:`cable_multi`),
-* sweep plans: a crossing order and the sweep kernel's program for it
-  (:func:`plan_sweep`),
+* sweep plans: a crossing order and the sweep kernel's program for it,
+  optionally with arcs cut open (:func:`plan_sweep`),
 * a small built-in catalog of verified diagrams (:func:`catalog_lookup`).
 
 Smoothing conventions: for ``X[a, b, c, d]`` the A-smoothing joins the arc
@@ -486,6 +486,12 @@ def emit_pd(num_nodes: int,
     twice).  Junction chains are contracted; junction-only cycles become
     crossing-free circles.  Arc labels are assigned by walking the strands.
     """
+    return _emit(num_nodes, links, extra_circles)[0]
+
+
+def _emit(num_nodes, links, extra_circles):
+    """:func:`emit_pd`, also returning {junction: label of its arc} for
+    every junction that lies on an arc (not on a crossing-free circle)."""
     adj: dict = {}
     for t, u in links:
         adj.setdefault(t, []).append(u)
@@ -503,6 +509,7 @@ def emit_pd(num_nodes: int,
     # contract junction chains into port-to-port glue
     glue: dict = {}
     visited: set = set()
+    chain: dict = {}            # junction -> a port at an end of its arc
     circles = extra_circles
     for t in adj:
         if not is_port(t) or t in visited:
@@ -514,6 +521,7 @@ def emit_pd(num_nodes: int,
             if not nxts:  # a junction linked twice to the same neighbor
                 nxts = [adj[cur][1]] if adj[cur][0] == prev else [adj[cur][0]]
             visited.add(cur)
+            chain[cur] = t
             prev, cur = cur, nxts[0]
         visited.add(cur)
         glue[t] = cur
@@ -578,16 +586,21 @@ def emit_pd(num_nodes: int,
     pd = PDCode(tuple(crossings), circles)
     if pd.crossings or pd.extra_circles:    # fully-deleted cables are empty
         analyze(pd)
-    return pd
+    return pd, {j: slot_label[t] for j, t in chain.items()}
 
 
-def cable_multi(pd: PDCode, mults: Sequence[int]) -> PDCode:
+def cable_multi(pd: PDCode, mults: Sequence[int],
+                copies: Optional[dict] = None) -> PDCode:
     """Replace component k by ``mults[k]`` parallel copies (0 deletes it).
 
     Components are ordered by smallest arc label; crossing-free circles
     come after all arc components.  Blackboard framing: each copy follows
     the diagram, so a crossing between components of multiplicity r and s
     becomes an r*s grid of crossings of the same sign.
+
+    With ``copies`` (a dict), also record the cable's label of each copy
+    of each arc a: copies[a] is the tuple of r labels, or None when the
+    copies lie on crossing-free circles of the cable.
     """
     info = analyze(pd)
     mults = list(mults)
@@ -659,7 +672,12 @@ def cable_multi(pd: PDCode, mults: Sequence[int]) -> PDCode:
     n_arc_comps = len(info.components)
     for k in range(pd.extra_circles):
         extra += mults[n_arc_comps + k]
-    return emit_pd(nodes, links, extra)
+    cabled, labels = _emit(nodes, links, extra)
+    if copies is not None:
+        for arc, ((c, s), _) in info.arc_ports.items():
+            ends = [labels.get(("t", c, s, k)) for k in range(r_of_arc[arc])]
+            copies[arc] = None if None in ends else tuple(ends)
+    return cabled
 
 
 def cable(pd: PDCode, r: int) -> PDCode:
@@ -688,21 +706,29 @@ class SweepPlan:
     ``closures`` lists the index pairs (one per arc that the crossing
     closes) to merge in that extended frame.  The surviving ends keep
     their order.  ``max_width`` is the peak number of open ends.
+
+    ``identity`` is the matching of the ends still open after the last
+    step, as a partner array: each cut arc's two ends are partners.  It
+    is empty unless the plan cuts arcs.
     """
 
     order: tuple[int, ...]
     program: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
     max_width: int
+    identity: bytes = b""
 
 
 def plan_sweep(pd: PDCode,
                order: Optional[Sequence[int]] = None,
-               max_width: int = MAX_WIDTH) -> SweepPlan:
+               max_width: int = MAX_WIDTH,
+               cut: Iterable[int] = ()) -> SweepPlan:
     """Choose a crossing order and compile it into the kernel's program.
 
     Without an explicit order, a greedy heuristic repeatedly inserts the
     crossing that minimizes the resulting number of open strand-ends,
-    the lowest index on a tie.  Raises BudgetError when the peak width
+    the lowest index on a tie.  The arcs labelled in ``cut`` are cut
+    open: each of their two ends opens when its crossing is inserted and
+    stays open to the end.  Raises BudgetError when the peak width
     exceeds ``max_width``.
     """
     analyze(pd)
@@ -711,40 +737,55 @@ def plan_sweep(pd: PDCode,
         order = list(order)
         if sorted(order) != list(range(n)):
             raise PDError(f"order must be a permutation of 0..{n - 1}")
-    # inserting a crossing toggles the open set by the arcs that occur
+    cut = frozenset(cut)
+    # an end is its arc label, or (label, crossing, position) on a cut
+    # arc, so that the two ends of a cut arc never meet
+    ends = [tuple((a, ci, pos) if a in cut else a
+                  for pos, a in enumerate(cr))
+            for ci, cr in enumerate(pd.crossings)] if cut else pd.crossings
+    # inserting a crossing toggles the open set by the ends that occur
     # once in it; a kink arc occurs twice and closes at once
-    once = [frozenset(a for a in cr if cr.count(a) == 1)
-            for cr in pd.crossings]
+    once = [frozenset(e for e in es if es.count(e) == 1) for es in ends]
     remaining = list(range(n))
     chosen = []
     program = []
-    open_arcs: list[int] = []       # arc label at each open index
+    open_ends: list = []            # the end at each open index
     peak = 0
     for t in range(n):
         if order is None:
+            # the open set toggled by once[c] has |open| + |once[c]|
+            # - 2 |once[c] & open| ends
+            live = set(open_ends)
             ci = min(remaining, key=lambda c: (
-                len(once[c].symmetric_difference(open_arcs)), c))
+                len(once[c]) - 2 * len(once[c] & live), c))
             remaining.remove(ci)
         else:
             ci = order[t]
         chosen.append(ci)
-        first_at: dict[int, int] = {}
+        first_at: dict = {}
         closures = []
-        for idx, arc in enumerate(open_arcs + list(pd.crossings[ci])):
-            if arc in first_at:
-                closures.append((first_at.pop(arc), idx))
+        for idx, end in enumerate(open_ends + list(ends[ci])):
+            if end in first_at:
+                closures.append((first_at.pop(end), idx))
             else:
-                first_at[arc] = idx
-        program.append((len(open_arcs), tuple(closures)))
-        open_arcs = list(first_at)
-        peak = max(peak, len(open_arcs))
-    if open_arcs:
-        raise InternalError(f"sweep left open ends: {open_arcs}")
+                first_at[end] = idx
+        program.append((len(open_ends), tuple(closures)))
+        open_ends = list(first_at)
+        peak = max(peak, len(open_ends))
+    if len(open_ends) != 2 * len(cut) or not all(
+            isinstance(e, tuple) for e in open_ends):
+        raise InternalError(f"sweep left open ends: {open_ends}")
+    halves: dict = {}
+    for i, (arc, _, _) in enumerate(open_ends):
+        halves.setdefault(arc, []).append(i)
+    identity = bytearray(len(open_ends))
+    for i, j in halves.values():
+        identity[i], identity[j] = j, i
     if peak > max_width:
         raise BudgetError("max_width", max_width, needed=peak,
                           detail="try another crossing order")
     return SweepPlan(order=tuple(chosen), program=tuple(program),
-                     max_width=peak)
+                     max_width=peak, identity=bytes(identity))
 
 
 # ---------------------------------------------------------------------------

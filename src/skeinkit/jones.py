@@ -7,38 +7,49 @@ accumulated weight}, which stays small for the diagrams and cables treated
 here.  :func:`brute_force_bracket` is the literal 2^c sum, kept as an
 independent cross-check for small inputs.
 
-Colored invariants follow by cabling: the color-n bracket expands each
-component into the n-fold parallel with the degree-n Chebyshev pattern
-(S_0 = 1, S_1 = x, S_n = x S_{n-1} - S_{n-2}) applied multilinearly, a
-deleted component being the 0-fold cable.  The framing correction divides
-by (-1)^n A^(n^2+2n) per unit of writhe, and the reduced form divides by
-the colored unknot value.
+Colored invariants follow by cabling with the degree-n Chebyshev pattern
+(S_0 = 1, S_1 = x, S_n = x S_{n-1} - S_{n-2}), applied multilinearly to
+the components, a deleted component being the 0-fold cable
+(:func:`_cables`).  From n = 2 on, on a planar diagram, one component
+instead carries the Jones-Wenzl projector directly:
+:func:`colored_bracket` cuts it open and sweeps the n-cable of the long
+knot once, keeping only the states that can still close up to the
+identity tangle (:func:`_long_knot`).  That is far fewer states than
+the whole cables carry.  Codes with no planar drawing, and the degree
+window of :func:`reduced_colored_top`, sum over the cables.  The
+framing correction divides by (-1)^n A^(n^2+2n) per unit of writhe, and
+the reduced form divides by the colored unknot value.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Optional
 
 from . import diagram
 from ._kernel import run_packed
-from .errors import BudgetError, InternalError
+from .errors import BudgetError, ExactnessError, InternalError, SkeinError
 from .poly import LaurentPoly, ONE, RationalFn, ZERO, exact_divide, truncate
 from .quantum import delta, gamma
 
 
-def _swept(pd: diagram.PDCode, floor: Optional[int],
-           max_width: int) -> LaurentPoly:
+def _swept(pd: diagram.PDCode, floor: Optional[int], max_width: int,
+           plan: Optional[diagram.SweepPlan] = None) -> LaurentPoly:
     """The bracket of ``pd``; with ``floor``, only its terms of exponent
-    >= floor.  Plans and sweeps the crossings, then multiplies in delta
-    for each crossing-free circle."""
-    program = diagram.plan_sweep(pd, max_width=max_width).program \
-        if pd.crossings else ()
+    >= floor.  Sweeps ``plan``, by default the greedy plan of pd; a plan
+    with cut arcs gives the coefficient of the identity tangle instead
+    (each cut arc joined up again).  Then multiplies in delta for each
+    crossing-free circle."""
+    if plan is None and pd.crossings:
+        plan = diagram.plan_sweep(pd, max_width=max_width)
     extra = pd.extra_circles
     # the circles outside the sweep reach 2*extra above the swept terms
     base, coeffs = run_packed(
-        program, floor=None if floor is None else floor - 2 * extra)
+        plan.program if plan else (),
+        floor=None if floor is None else floor - 2 * extra,
+        identity=plan.identity if plan else b"")
     out = LaurentPoly(tuple(
         (base + 2 * j, c) for j, c in enumerate(coeffs))) * delta(1) ** extra
     if floor is None:
@@ -120,18 +131,102 @@ def colored_bracket(pd: diagram.PDCode, n: int,
                     max_width: int = diagram.MAX_WIDTH) -> LaurentPoly:
     """Bracket of the diagram with every component carrying color n.
 
-    Multilinear Chebyshev expansion over per-component cable sizes; the
-    0-cable deletes a component.  colored_bracket(unknot, n) is the
-    colored loop value delta(n).
+    For n >= 2 on a planar diagram with crossings this is
+    lambda * delta(n), where lambda (:func:`_long_knot`) comes from one
+    sweep of the n-cable cut open at one arc.  Otherwise it is the
+    multilinear Chebyshev expansion over per-component cable sizes
+    (:func:`_cables`), which stays the reference the tests compare with.
+    colored_bracket(unknot, n) is the colored loop value delta(n).
     """
     if n < 0:
         raise ValueError("color must be >= 0")
     if not pd.crossings and not pd.extra_circles:
         return ONE
+    # at n = 1 a lone cut arc prunes nothing: the whole 1-cable is as
+    # cheap to sweep and plans once
+    if n > 1 and pd.crossings and not diagram.genus(pd):
+        return _long_knot(pd, n, max_width) * delta(n)
     total = LaurentPoly()
     for weight, cabled in _cables(pd, n):
         total = total + weight * bracket(cabled, max_width=max_width)
     return total
+
+
+def _long_knot(pd: diagram.PDCode, n: int, max_width: int) -> LaurentPoly:
+    """The colored bracket of a planar diagram divided by delta(n).
+
+    Cut the component K of one arc p open (:func:`_cut_arc`), and let T
+    in TL_n be the n-cable of the cut diagram, the other components
+    carrying their Chebyshev cables.  The Jones-Wenzl projector f kills
+    every Temperley-Lieb diagram but the identity (Kauffman-Lins,
+    *Temperley-Lieb Recoupling Theory*, 1994), so f T f = lambda f for
+    the coefficient lambda of the identity in T, and closing up gives
+    lambda * delta(n).  lambda is a Laurent polynomial: the sweep of the
+    cut cable returns it (see ``_sweep_py.run``).
+    """
+    info = diagram.analyze(pd)
+    arc, full, full_plan = _cut_arc(pd, n)
+    if full_plan.max_width > max_width:
+        raise BudgetError("max_width", max_width,
+                          needed=full_plan.max_width,
+                          detail="try another crossing order")
+    k = info.comp_of_arc[arc]
+    total = ZERO
+    for weight, mults in _patterns(n, info.total_components - 1):
+        mults.insert(k, n)
+        cabled, plan = full, full_plan
+        if set(mults) != {n}:
+            copies = {}
+            cabled = diagram.cable_multi(pd, mults, copies)
+            if copies[arc] is None:
+                # K crosses only deleted components: its cut copies are
+                # the identity tangle, beside the rest of the cable
+                mults[k] = 0
+                total += weight * bracket(diagram.cable_multi(pd, mults),
+                                          max_width=max_width)
+                continue
+            plan = diagram.plan_sweep(cabled, max_width=max_width,
+                                      cut=copies[arc])
+        total += weight * _swept(cabled, None, max_width, plan)
+    return total
+
+
+def _cut_arc(pd: diagram.PDCode, n: int):
+    """(arc, cable, plan): the arc whose n copies :func:`_long_knot`
+    cuts, and the n-cable of pd with its plan, cut there.
+
+    Candidates are the arcs of pd, those open for the most steps of its
+    greedy plan first; a kink arc is open for none.  The first whose
+    cut cable plans no wider than the closed cable wins, else the
+    narrowest.
+    """
+    steps = {}
+    for t, ci in enumerate(diagram.plan_sweep(pd, max_width=math.inf).order):
+        for a in set(pd.crossings[ci]):
+            steps.setdefault(a, []).append(t)
+    copies = {}
+    cabled = diagram.cable_multi(
+        pd, [n] * diagram.analyze(pd).total_components, copies)
+    closed = diagram.plan_sweep(cabled, max_width=math.inf).max_width
+    best = None
+    for arc in sorted(steps, key=lambda a: (steps[a][0] - steps[a][-1], a)):
+        plan = diagram.plan_sweep(cabled, max_width=math.inf,
+                                  cut=copies[arc])
+        if plan.max_width <= closed:
+            return arc, cabled, plan
+        if best is None or plan.max_width < best[1].max_width:
+            best = arc, plan
+    return best[0], cabled, best[1]
+
+
+def _patterns(n: int, k: int):
+    """(weight, multiplicities) of the multilinear Chebyshev expansion of
+    k components at color n; the last has every multiplicity n."""
+    for combo in itertools.product(chebyshev_coefficients(n), repeat=k):
+        weight = 1
+        for _, c in combo:
+            weight *= c
+        yield weight, [m for m, _ in combo]
 
 
 def _cables(pd: diagram.PDCode, n: int):
@@ -139,11 +234,8 @@ def _cables(pd: diagram.PDCode, n: int):
     color n; the last cable carries every component n-fold."""
     k = diagram.analyze(pd).total_components if pd.crossings \
         else pd.extra_circles
-    for combo in itertools.product(chebyshev_coefficients(n), repeat=k):
-        weight = 1
-        for _, c in combo:
-            weight *= c
-        yield weight, diagram.cable_multi(pd, [m for m, _ in combo])
+    for weight, mults in _patterns(n, k):
+        yield weight, diagram.cable_multi(pd, mults)
 
 
 def unreduced_colored(pd: diagram.PDCode, color_dim: int,
@@ -163,9 +255,22 @@ def unreduced_colored(pd: diagram.PDCode, color_dim: int,
 
 def reduced_colored(pd: diagram.PDCode, color_dim: int,
                     max_width: int = diagram.MAX_WIDTH) -> LaurentPoly:
-    """Unreduced form divided (exactly) by the colored unknot value."""
-    return exact_divide(unreduced_colored(pd, color_dim, max_width=max_width),
-                        delta(color_dim - 1))
+    """Unreduced form divided (exactly) by the colored unknot value.
+
+    On a code with no planar drawing the cabled invariant need not be
+    divisible; that raises SkeinError.
+    """
+    unreduced = unreduced_colored(pd, color_dim, max_width=max_width)
+    try:
+        return exact_divide(unreduced, delta(color_dim - 1))
+    except ExactnessError:
+        g = diagram.genus(pd) if pd.crossings else 0
+        if not g:
+            raise
+        raise SkeinError(
+            f"the code has genus {g} (it has no planar drawing), and its "
+            f"cabled invariant at color {color_dim} is not divisible by "
+            f"the colored unknot") from None
 
 
 def jones_polynomial(pd: diagram.PDCode,

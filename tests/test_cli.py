@@ -14,6 +14,7 @@ from skeinkit.cli import (
     q_series_json,
 )
 from skeinkit.diagram import cable, catalog_lookup, catalog_names, format_pd
+from skeinkit.errors import BudgetError
 from skeinkit.jones import jones_polynomial, reduced_colored
 from skeinkit.poly import LaurentPoly
 
@@ -205,11 +206,11 @@ def test_time_limit_budget(capsys):
                        "--time-limit", "0.01")
     assert code == 3
     assert "time_limit" in err
-    # the limit trips inside a long sweep (the full 5-cable of 6_2 takes
-    # 14-30 s); a fresh process, so no cached invariant answers at once
+    # the limit trips inside a long sweep (the cut 6-cable of 6_2 takes
+    # 3-7 s); a fresh process, so no cached invariant answers at once
     t0 = time.monotonic()
     proc = subprocess.run(
-        [sys.executable, "-m", "skeinkit.cli", "cjones", "--color", "6",
+        [sys.executable, "-m", "skeinkit.cli", "cjones", "--color", "7",
          "catalog:6_2", "--time-limit", "1"],
         capture_output=True, text=True, timeout=60)
     assert time.monotonic() - t0 < 5
@@ -245,3 +246,43 @@ def test_zero_time_limit_means_no_limit(monkeypatch, capsys):
     assert code == 0 and out.strip() == "-A^-9+A^-1+A^3+A^7"
     monkeypatch.setenv("SKEINKIT_TIME_LIMIT", "0")
     assert run(capsys, "bracket", "catalog:3_1")[0] == 0
+
+
+def test_time_limit_trips_inside_the_long_knot_sweep(monkeypatch, capsys):
+    from skeinkit import _sweep_py
+    sweep = _sweep_py.run
+    tripped = []
+
+    def watched(*args, **kwargs):
+        try:
+            return sweep(*args, **kwargs)
+        except BudgetError as exc:
+            tripped.append(exc.budget)
+            raise
+
+    monkeypatch.setattr(_sweep_py, "run", watched)
+    code, out, err = run(capsys, "cjones", "--color", "7", "catalog:6_2",
+                         "--time-limit", "1")
+    assert code == 3 and out == "" and "time_limit" in err
+    assert tripped == ["time_limit"]
+
+
+def test_width_budget_applies_to_the_cut_cable(capsys):
+    # the cut 4-cable of 6_2 plans at width 16
+    code, out, err = run(capsys, "cjones", "--color", "5", "catalog:6_2",
+                         "--max-width", "15")
+    assert code == 3 and out == ""
+    assert "max_width" in err and "needed 16" in err
+    assert run(capsys, "cjones", "--color", "5", "catalog:6_2",
+               "--max-width", "16")[0] == 0
+
+
+def test_code_without_planar_drawing_names_its_genus(tmp_path, capsys):
+    path = tmp_path / "virtual_trefoil.pd"
+    path.write_text("X[1,3,2,4] X[2,4,3,1]\n")
+    assert run(capsys, "cjones", "--color", "3", str(path))[0] == 0
+    code, out, err = run(capsys, "cjones", "--color", "4", str(path))
+    assert code == 2 and out == ""
+    assert "genus 1" in err and "no planar drawing" in err
+    assert "not divisible by the colored unknot" in err
+    assert "Traceback" not in err

@@ -6,18 +6,21 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import CORPUS_JONES, braid_closure
-from skeinkit.construct import rational_knot, with_kink
+from skeinkit import _sweep_py
+from skeinkit.construct import rational_knot, twist_closure, with_kink
 from skeinkit._sweep_py import replay_circles
 from skeinkit.diagram import (
-    PDCode, adequacy, analyze, apply_state, cable_multi, catalog_lookup,
-    catalog_names, format_pd, mirror, parse_pd, plan_sweep,
+    MAX_WIDTH, PDCode, adequacy, analyze, apply_state, cable_multi,
+    catalog_lookup, catalog_names, format_pd, genus, mirror, parse_pd,
+    plan_sweep,
 )
 from skeinkit.errors import BudgetError
 from skeinkit.jones import (
-    bracket, brute_force_bracket, chebyshev_coefficients, colored_bracket,
-    jones_polynomial, reduced_colored, reduced_colored_top, unreduced_colored,
+    _cables, _long_knot, bracket, brute_force_bracket,
+    chebyshev_coefficients, colored_bracket, jones_polynomial,
+    reduced_colored, reduced_colored_top, unreduced_colored,
 )
-from skeinkit.poly import LaurentPoly, ONE, to_q
+from skeinkit.poly import LaurentPoly, ONE, ZERO, to_q
 from skeinkit.quantum import delta
 
 
@@ -135,6 +138,7 @@ def test_chebyshev_small_patterns():
     assert chebyshev_coefficients(4) == ((0, 1), (2, -3), (4, 1))
 
 
+@settings(derandomize=True)
 @given(st.integers(2, 12))
 def test_chebyshev_recursion_and_parity(n):
     cur = dict(chebyshev_coefficients(n))
@@ -241,3 +245,109 @@ def test_reduced_colored_top_is_the_full_top():
                     # the certified top is the true top: no descent
                     assert floor == full.max_degree() - 4 * (terms - 1) \
                         or top == full, (dim, terms)
+
+
+# --- the long-knot sweep against the Chebyshev cable sum -----------------
+
+def _cable_sum(pd, n):
+    """The colored bracket as the Chebyshev sum over whole cables."""
+    return sum((w * bracket(c) for w, c in _cables(pd, n)), ZERO)
+
+
+def _kinked(quotients, hand, pick, positive):
+    pd = rational_knot(quotients, hand)
+    arcs = sorted(analyze(pd).arc_ports)
+    return with_kink(pd, arcs[pick % len(arcs)], positive)
+
+
+def _with_circles(pd, k):
+    return parse_pd(format_pd(pd) + " O" * k)
+
+
+_QUOTIENTS = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+_BRAID_WORDS = st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                        min_size=2, max_size=5)
+# rational knots and two-component rational links, kinked diagrams,
+# twist closures from one crossing up, mixed-sign braid closures (the
+# strands a word misses close into circles) and split diagrams
+PLANAR = st.one_of(
+    st.builds(rational_knot, _QUOTIENTS.filter(lambda q: sum(q) <= 5),
+              st.integers(0, 1)),
+    st.builds(_kinked, _QUOTIENTS.filter(lambda q: sum(q) <= 3),
+              st.integers(0, 1), st.integers(0, 11), st.booleans()),
+    st.builds(twist_closure, st.integers(1, 4), st.integers(0, 1)),
+    st.builds(braid_closure, st.just(4), _BRAID_WORDS),
+    st.builds(_with_circles, st.builds(rational_knot, st.sampled_from(
+        [[1], [2], [3], [2, 1]]), st.integers(0, 1)), st.integers(1, 2)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(PLANAR, st.booleans(), st.integers(1, 4))
+def test_long_knot_matches_cables_on_generated(pd, mirrored, color):
+    if mirrored:
+        pd = mirror(pd)
+    n = color - 1
+    assume(len(pd.crossings) * n * n <= 60)
+    assert genus(pd) == 0
+    assert colored_bracket(pd, n) == _cable_sum(pd, n)
+
+
+def test_long_knot_covers_every_diagram_kind():
+    # each kind the generated test draws, pinned once at color 3
+    cases = [rational_knot([2, 1], 1), rational_knot([4], 0),
+             rational_knot([1, 2, 1], 0), twist_closure(1),
+             twist_closure(2, 1), _kinked([3], 0, 2, False),
+             braid_closure(3, [1, -2, 1, -2]), braid_closure(4, [1, -3, 2]),
+             braid_closure(4, [-3, -1, 3]),
+             _with_circles(rational_knot([3], 0), 2)]
+    assert {analyze(pd).total_components for pd in cases} >= {1, 2, 3}
+    for pd in cases + [mirror(pd) for pd in cases]:
+        assert colored_bracket(pd, 2) == _cable_sum(pd, 2), format_pd(pd)
+
+
+def test_long_knot_matches_cables_on_catalog():
+    for name in catalog_names():
+        pd = catalog_lookup(name)
+        for d in (pd, mirror(pd)) if pd.crossings else (pd,):
+            for color in range(1, 5):
+                n = color - 1
+                assert colored_bracket(d, n) == _cable_sum(d, n), (name, n)
+
+
+def test_long_knot_ends_match_cable_windows_at_colors_five_and_six():
+    # the full cable sums are out of tier-1's reach here, so compare
+    # both ends with the windowed cable sweep, and the mirror rule
+    try:
+        for name in catalog_names():
+            pd = catalog_lookup(name)
+            if not pd.crossings:
+                continue
+            for color in (5, 6):
+                full = reduced_colored(pd, color)
+                assert reduced_colored(mirror(pd), color) == full.mirror()
+                for d, p in ((pd, full), (mirror(pd), full.mirror())):
+                    top, floor = reduced_colored_top(d, color, 3)
+                    assert top == LaurentPoly(tuple(
+                        t for t in p.terms if t[0] >= floor)), (name, color)
+    finally:
+        # tests that time a cold computation must not find these cached
+        colored_bracket.cache_clear()
+
+
+def test_long_knot_prunes_the_six_two_sweep(monkeypatch):
+    # the full sweep of the 4-cable peaks at 1,430 states
+    pd = catalog_lookup("6_2")
+    peak = [0]
+    step = _sweep_py._step
+
+    def counted(states, w0, closures):
+        out = step(states, w0, closures)
+        peak[0] = max(peak[0], len(out))
+        return out
+
+    monkeypatch.setattr(_sweep_py, "_step", counted)
+    value = _long_knot(pd, 4, MAX_WIDTH)
+    monkeypatch.undo()
+    assert 0 < peak[0] <= 200
+    assert value * delta(4) == colored_bracket(pd, 4)

@@ -1,0 +1,126 @@
+"""Compare two checkouts from alternating benchmark runs.
+
+Each checkout's ``perfbench/run.py`` writes one record per run to its own
+``.bench_out/<workload>-seed<N>-trace<T>.json``.  Run the parent and the
+change in turn, one seed per pair and the first side alternating, so
+that a drift of the host's speed hits both sides alike; for example,
+from a directory holding both checkouts:
+
+    for seed in $(seq 101 110); do
+      sides="parent change"; (( seed % 2 )) || sides="change parent"
+      for side in $sides; do
+        (cd $side && python3 perfbench/run.py --workload cli_colored \\
+            --seed $seed --seconds 30 > /dev/null)
+      done
+    done
+    python3 change/tools/bench_pairs.py parent change --label mychange
+
+For every workload with untraced records of the same seed on both sides,
+this prints each end-to-end metric's median and quartiles per side, the
+change of the medians, the parent's interquartile range and the pairs
+the change won.  It writes all of it, with the run metadata and the
+medians of any traced per-layer records, to ``BENCH_<label>.json`` in
+the current directory.
+"""
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _records(checkout, trace):
+    """{(workload, seed): record} of one checkout's runs."""
+    out = {}
+    for path in sorted((Path(checkout) / ".bench_out")
+                       .glob(f"*-seed*-trace{trace}.json")):
+        record = json.loads(path.read_text(encoding="utf-8"))
+        if not record.get("smoke"):
+            out[record["workload"], record["meta"]["seed"]] = record
+    return out
+
+
+def _summary(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def compare(parent, change, better):
+    """Per workload: paired end-to-end statistics of the two sides."""
+    old, new = _records(parent, 0), _records(change, 0)
+    out = {}
+    for workload in sorted({w for w, _ in old}):
+        seeds = sorted(s for w, s in old if w == workload
+                       and (w, s) in new)
+        if len(seeds) < 2:
+            continue
+        pairs = [(old[workload, s], new[workload, s]) for s in seeds]
+        metrics = {}
+        for name, direction in better.items():
+            a = [p["end_to_end"][name] for p, _ in pairs]
+            b = [c["end_to_end"][name] for _, c in pairs]
+            sign = 1 if direction == "lower" else -1
+            before, after = _summary(a), _summary(b)
+            metrics[name] = {
+                "parent": before, "change": after,
+                "relative_change": after["median"] / before["median"] - 1,
+                "parent_iqr": before["q3"] - before["q1"],
+                "pairs_won": sum(sign * (y - x) < 0 for x, y in zip(a, b)),
+            }
+        out[workload] = {
+            "seeds": seeds, "pairs": len(seeds), "metrics": metrics,
+            "failed": {"parent": sum(p["failed"] for p, _ in pairs),
+                       "change": sum(c["failed"] for _, c in pairs),
+                       "attempted": sum(c["attempted"] for _, c in pairs)},
+            "meta": {"parent": pairs[0][0]["meta"],
+                     "change": pairs[0][1]["meta"]},
+        }
+    return out
+
+
+def layers(checkout):
+    """{workload: per-layer medians} over a checkout's traced runs."""
+    runs = {}
+    for (workload, _), record in _records(checkout, 1).items():
+        runs.setdefault(workload, []).append(record["per_layer"])
+    return {w: {name: statistics.median(r[name] for r in rs)
+                for name in rs[0]} for w, rs in sorted(runs.items())}
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", help="checkout of the parent commit")
+    ap.add_argument("change", help="checkout of the change")
+    ap.add_argument("--label", required=True,
+                    help="writes BENCH_<label>.json")
+    args = ap.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    result = compare(args.parent, args.change, better)
+    if not result:
+        print("error: no workload has two seeds run on both sides",
+              file=sys.stderr)
+        return 1
+    for workload, blob in result.items():
+        print(f"{workload}: {blob['pairs']} pairs, failed ops "
+              f"{blob['failed']['parent']} -> {blob['failed']['change']}")
+        for name, m in blob["metrics"].items():
+            p, c = m["parent"], m["change"]
+            print(f"  {name:<12} {p['median']:10.4g} [{p['q1']:.4g}, "
+                  f"{p['q3']:.4g}] -> {c['median']:10.4g} [{c['q1']:.4g}, "
+                  f"{c['q3']:.4g}]  {m['relative_change']:+7.1%}  "
+                  f"won {m['pairs_won']}/{blob['pairs']}")
+    record = {"label": args.label, "end_to_end": result,
+              "per_layer": {"parent": layers(args.parent),
+                            "change": layers(args.change)}}
+    path = Path(f"BENCH_{args.label}.json")
+    path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
