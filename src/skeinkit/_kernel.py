@@ -21,7 +21,7 @@ def pick_kernel():
 
 
 def run_packed(program, floor=None, identity=b""):
-    """Run a sweep program; with ``floor``, return only the terms of
-    exponent >= floor; with ``identity``, the coefficient of that
-    matching of the ends the program leaves open."""
+    """Run a sweep program; with ``identity``, return the coefficient of
+    that matching of the ends the program leaves open; with ``floor``,
+    only the terms of exponent >= floor."""
     return _sweep_py.run(program, floor=floor, identity=identity)

@@ -55,7 +55,20 @@ cut=...)``) leaves their ends open to the end.  ``run(program,
 identity=key)`` returns the coefficient of one matching of those ends,
 the identity, which joins each cut arc up again; :func:`_dead_pairs`
 drops on the way every state that cannot reach it.  ``jones`` uses this
-for the colored bracket of a long knot.
+for the colored bracket of a long knot.  A floor applies to that
+coefficient: the bound above is taken in the closure by the identity,
+so :func:`_all_a_cuts` starts its backward pass from the identity's
+pairs, and a path through the crossings still to come that the identity
+joins up is one more circle of M u M_A.  A state that ends at the
+identity closes k circles with it, for k cut arcs, so its terms reach
+at most
+
+    e + r + 2 * (c + cycles(M u M_A) - k),
+
+and the certified top is T + 2*c0 - 2k, c0 counting the circles of the
+closure's all-A state.  Each step runs :func:`_step`, then the dead-pair
+filter when there is an identity, then :func:`_prune` when there is a
+floor.
 
 This module is deliberately free of package imports.  It is the
 package's only sweep kernel; ``_kernel.run_packed`` is its entry point.
@@ -144,7 +157,7 @@ def _step(states, w0, closures):
     return nxt
 
 
-def _all_a_cuts(program):
+def _all_a_cuts(program, identity=b""):
     """The all-A smoothing of the crossings still to come, seen from each cut.
 
     Returns ``(top, cuts)``.  ``cuts[t]`` describes the cut after step t
@@ -153,9 +166,14 @@ def _all_a_cuts(program):
     reach = r + 2c.  ``top`` is T + 2*c0 for the T crossings and the c0
     circles of the whole all-A state: no exponent of the bracket exceeds
     it.  One backward pass over the program's tuples.
+
+    With ``identity``, the ends left open at the end are joined up by
+    that matching, so the state is the one of the closure: a path that
+    the identity closes counts as one circle.
     """
     cuts = []
-    pairs = ()          # the all-A matching on the ends open after step t
+    # the all-A matching on the ends open after step t
+    pairs = tuple((i, j) for i, j in enumerate(identity) if i < j)
     circles = 0
     for w0, closures in reversed(program):
         cuts.append((len(cuts) + 2 * circles, pairs))
@@ -179,9 +197,13 @@ def _all_a_cuts(program):
     return len(program) + 2 * circles, cuts
 
 
-def certified_top(program):
-    """Upper bound on the bracket's exponents: T + 2*c0 (see _all_a_cuts)."""
-    return _all_a_cuts(program)[0]
+def certified_top(program, identity=b""):
+    """Upper bound on the bracket's exponents: T + 2*c0 (see _all_a_cuts).
+
+    With ``identity``, the bound on the coefficient of that matching:
+    the closure's bound less its len(identity) / 2 identity circles.
+    """
+    return _all_a_cuts(program, identity)[0] - len(identity)
 
 
 def _prune(states, low, pairs):
@@ -313,29 +335,29 @@ def run(program, floor=None, identity=b""):
 
     A program that leaves ends open (a plan with cut arcs) returns the
     coefficient of the matching ``identity`` of those ends, and drops
-    on the way every state that cannot reach it (:func:`_dead_pairs`).
+    on the way every state that cannot reach it (:func:`_dead_pairs`);
+    a floor then applies to that coefficient.
     """
     states = {b"": (0, [1])}
-    if identity:
-        if floor is not None:
-            raise ValueError("a degree window needs a closed diagram")
-        for (w0, closures), bad in zip(program,
-                                       _dead_pairs(program, identity)):
-            states = _step(states, w0, closures)
-            if bad:
-                states = {k: v for k, v in states.items()
-                          if not any(k[i] in js for i, js in bad)}
-    elif floor is None:
-        for w0, closures in program:
-            states = _step(states, w0, closures)
-    else:
-        top, cuts = _all_a_cuts(program)
+    dead = _dead_pairs(program, identity) if identity else ()
+    cuts = ()
+    if floor is not None:
+        top, cuts = _all_a_cuts(program, identity)
+        # the closure by the identity adds len(identity) / 2 circles,
+        # which lie above the identity's coefficient
+        floor += len(identity)
         states = _prune(states, floor - top, ())
-        for (w0, closures), (reach, pairs) in zip(program, cuts):
-            if not states:
-                break
-            states = _prune(_step(states, w0, closures),
-                            floor - reach, pairs)
+    for t, (w0, closures) in enumerate(program):
+        if not states:
+            break
+        states = _step(states, w0, closures)
+        if dead and dead[t]:
+            bad = dead[t]
+            states = {k: v for k, v in states.items()
+                      if not any(k[i] in js for i, js in bad)}
+        if cuts:
+            reach, pairs = cuts[t]
+            states = _prune(states, floor - reach, pairs)
     if not states:
         return 0, []
     if len(states) != 1 or identity not in states:

@@ -14,10 +14,10 @@ class PDError(SkeinError):
 
 
 class ExactnessError(SkeinError):
-    """An operation that must be exact (division, series step) was not.
+    """An operation that must be exact (division) was not.
 
     Raised e.g. when exact_divide is given a non-divisor, or when a
-    truncation step would need a non-integer coefficient.
+    division step would need a non-integer coefficient.
     """
 
 

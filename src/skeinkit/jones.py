@@ -15,10 +15,13 @@ instead carries the Jones-Wenzl projector directly:
 :func:`colored_bracket` cuts it open and sweeps the n-cable of the long
 knot once, keeping only the states that can still close up to the
 identity tangle (:func:`_long_knot`).  That is far fewer states than
-the whole cables carry.  Codes with no planar drawing, and the degree
-window of :func:`reduced_colored_top`, sum over the cables.  The
-framing correction divides by (-1)^n A^(n^2+2n) per unit of writhe, and
-the reduced form divides by the colored unknot value.
+the whole cables carry, and the coefficient lambda of the identity is
+the colored bracket divided by the colored unknot value delta(n).  So
+the top coefficients that :func:`reduced_colored_top` returns come from
+one degree window of that sweep, with no division.  Codes with no
+planar drawing sum over the cables.  The framing correction divides by
+(-1)^n A^(n^2+2n) per unit of writhe, and the reduced form divides by
+the colored unknot value.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Optional
 from . import diagram
 from ._kernel import run_packed
 from .errors import BudgetError, ExactnessError, InternalError, SkeinError
-from .poly import LaurentPoly, ONE, RationalFn, ZERO, exact_divide, truncate
+from .poly import LaurentPoly, ONE, ZERO, exact_divide
 from .quantum import delta, gamma
 
 
@@ -152,8 +155,10 @@ def colored_bracket(pd: diagram.PDCode, n: int,
     return total
 
 
-def _long_knot(pd: diagram.PDCode, n: int, max_width: int) -> LaurentPoly:
-    """The colored bracket of a planar diagram divided by delta(n).
+def _long_knot(pd: diagram.PDCode, n: int, max_width: int,
+               floor: Optional[int] = None) -> LaurentPoly:
+    """The colored bracket of a planar diagram divided by delta(n); with
+    ``floor``, only its terms of exponent >= floor.
 
     Cut the component K of one arc p open (:func:`_cut_arc`), and let T
     in TL_n be the n-cable of the cut diagram, the other components
@@ -162,16 +167,34 @@ def _long_knot(pd: diagram.PDCode, n: int, max_width: int) -> LaurentPoly:
     *Temperley-Lieb Recoupling Theory*, 1994), so f T f = lambda f for
     the coefficient lambda of the identity in T, and closing up gives
     lambda * delta(n).  lambda is a Laurent polynomial: the sweep of the
-    cut cable returns it (see ``_sweep_py.run``).
+    cut cable returns it (see ``_sweep_py.run``), in a degree window
+    when there is a floor.
+    """
+    sweeps = _long_knot_sweeps(pd, n)
+    # every plan is checked before any sweep
+    needed = max((plan.max_width for _, _, plan in sweeps if plan),
+                 default=0)
+    if needed > max_width:
+        raise BudgetError("max_width", max_width, needed=needed,
+                          detail="try another crossing order")
+    return sum((weight * _swept(cabled, floor, max_width, plan)
+                for weight, cabled, plan in sweeps), ZERO)
+
+
+@functools.lru_cache(maxsize=32)
+def _long_knot_sweeps(pd: diagram.PDCode, n: int):
+    """(weight, cable, plan) per Chebyshev pattern of the components
+    other than K, for :func:`_long_knot`; the last is the all-n cable.
+
+    The plan cuts the copies of the arc chosen by :func:`_cut_arc`.
+    Where K crosses only deleted components, its cut copies are the
+    identity tangle beside the rest of the cable, and the plan is the
+    closed one of that rest (None when it has no crossings).
     """
     info = diagram.analyze(pd)
     arc, full, full_plan = _cut_arc(pd, n)
-    if full_plan.max_width > max_width:
-        raise BudgetError("max_width", max_width,
-                          needed=full_plan.max_width,
-                          detail="try another crossing order")
     k = info.comp_of_arc[arc]
-    total = ZERO
+    out = []
     for weight, mults in _patterns(n, info.total_components - 1):
         mults.insert(k, n)
         cabled, plan = full, full_plan
@@ -179,16 +202,15 @@ def _long_knot(pd: diagram.PDCode, n: int, max_width: int) -> LaurentPoly:
             copies = {}
             cabled = diagram.cable_multi(pd, mults, copies)
             if copies[arc] is None:
-                # K crosses only deleted components: its cut copies are
-                # the identity tangle, beside the rest of the cable
                 mults[k] = 0
-                total += weight * bracket(diagram.cable_multi(pd, mults),
-                                          max_width=max_width)
-                continue
-            plan = diagram.plan_sweep(cabled, max_width=max_width,
-                                      cut=copies[arc])
-        total += weight * _swept(cabled, None, max_width, plan)
-    return total
+                cabled = diagram.cable_multi(pd, mults)
+                plan = diagram.plan_sweep(cabled, max_width=math.inf) \
+                    if cabled.crossings else None
+            else:
+                plan = diagram.plan_sweep(cabled, max_width=math.inf,
+                                          cut=copies[arc])
+        out.append((weight, cabled, plan))
+    return tuple(out)
 
 
 def _cut_arc(pd: diagram.PDCode, n: int):
@@ -287,31 +309,34 @@ def reduced_colored_top(pd: diagram.PDCode, color_dim: int, terms: int,
     Returns ``(p, floor)``: p equals ``reduced_colored(pd, color_dim)`` on
     the A-exponents >= floor and is zero below; its top is the true top,
     and it holds ``terms`` q-coefficients unless it is the whole invariant.
-    The bracket of the all-n cable, with T crossings and c_A, c_B circles
-    in its all-A, all-B states, bounds every cable's between -(T + 2*c_B)
-    and T + 2*c_A.  The window descends from that top, which an A-adequate
-    diagram attains: a window that shows a lower top is swept again with
-    the floor under it, an empty one steps down further each time, and at
-    the bottom bound the window is the full sweep.
+
+    The reduced invariant is frame * lambda, for lambda of
+    :func:`_long_knot` and the monomial frame of the writhe, so a degree
+    window on the cut sweep is a window on the answer.  With T crossings
+    and c_A, c_B circles in the all-A, all-B states of the all-n cable,
+    lambda lies between -(T + 2*c_B) + 2n and T + 2*c_A - 2n.  The window
+    descends from that top, which an A-adequate diagram attains: a window
+    that shows a lower top is swept again with the floor under it, an
+    empty one steps down further each time, and at the bottom bound the
+    window is the full sweep.  Below color 3 (n <= 1), and on a code with
+    no planar drawing or no crossings, p is the whole invariant, as
+    :func:`colored_bracket` computes it.
     """
     if color_dim < 1 or terms < 1:
         raise ValueError("color dimension and terms must be >= 1")
     n = color_dim - 1
-    cables = list(_cables(pd, n))
-    # at color_dim 1 the all-n cable is empty and its bracket is 1
-    full = cables[-1][1]
-    ceiling = bottom = 0
-    if full.crossings or full.extra_circles:
-        t = len(full.crossings)
-        ceiling = t + 2 * diagram.apply_state(full, diagram.all_a(full)).count
-        bottom = -t - 2 * diagram.apply_state(full, diagram.all_b(full)).count
+    if n <= 1 or not pd.crossings or diagram.genus(pd):
+        p = reduced_colored(pd, color_dim, max_width=max_width)
+        return p, p.min_degree()
+    full = _long_knot_sweeps(pd, n)[-1][1]
+    t = len(full.crossings)
+    a = diagram.apply_state(full, diagram.all_a(full)).count
+    b = diagram.apply_state(full, diagram.all_b(full)).count
+    ceiling, bottom = t + 2 * a - 2 * n, -t - 2 * b + 2 * n
     span, step = 4 * (terms - 1), 4 * terms
     floor = max(ceiling - span, bottom)
     while True:
-        # widest first, so that its plan trips the width budget before
-        # any sweep
-        total = sum((w * _swept(c, floor, max_width)
-                     for w, c in reversed(cables)), ZERO)
+        total = _long_knot(pd, n, max_width, floor)
         if floor == bottom or (not total.is_zero
                                and total.max_degree() >= floor + span):
             break
@@ -320,12 +345,4 @@ def reduced_colored_top(pd: diagram.PDCode, color_dim: int, terms: int,
                     else total.max_degree() - span)
         step *= 2
     frame = gamma(n, n, 0) ** (-diagram.writhe(pd))
-    top = frame * total
-    floor += frame.max_degree() - 2 * n
-    if top.is_zero:
-        return ZERO, floor
-    # divide from the top: quotient degrees >= floor need only the known
-    # dividend degrees; mirrored, this is the low-end series expansion
-    slots = top.max_degree() - 2 * n - floor + 1
-    quotient = truncate(RationalFn(top.mirror(), delta(n).mirror()), slots)
-    return quotient.mirror(), floor
+    return frame * total, floor + frame.max_degree()

@@ -317,9 +317,6 @@ class RationalFn:
             raise DegreeError("degree of the zero rational function is undefined")
         return self.num.min_degree() - self.den.min_degree()
 
-    def truncate(self, k: int) -> LaurentPoly:
-        return truncate(self, k)
-
     def __str__(self) -> str:
         if self.den == ONE:
             return str(self.num)
@@ -327,18 +324,6 @@ class RationalFn:
 
     def __repr__(self) -> str:
         return f"<RationalFn {self}>"
-
-
-def truncate(r: RationalFn, k: int) -> LaurentPoly:
-    """First k degree-slots of the low-end power-series expansion of r.
-
-    Returns the terms with exponents in [d(r), d(r)+k).  Each division step
-    must be exact over the integers or ExactnessError is raised.
-    """
-    if k <= 0 or r.num.is_zero:
-        return ZERO
-    out, _ = _divide_low(r.num, r.den, r.min_degree() + k)
-    return LaurentPoly(tuple(out.items()))
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

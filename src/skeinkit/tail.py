@@ -15,8 +15,10 @@ Both compare only the first few coefficients, so on a planar diagram
 they compute only those: the top of the reduced invariant, in a window
 that :func:`skeinkit.jones.reduced_colored_top` lowers until it holds
 them, and widened here until it decides what the full polynomials
-would.  So results never depend on the window, and a code that is not
-planar uses the full polynomials.
+would.  From color 3 on, each window is one degree-windowed sweep of
+the n-cable cut open at one arc, with no division.  So results never
+depend on the window, and a code that is not planar uses the full
+polynomials.
 """
 
 from __future__ import annotations

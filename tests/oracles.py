@@ -2,10 +2,15 @@
 
 Everything here is computed by a different route than the library code
 under test: a 2x2 transfer matrix for rational-tangle brackets, a braid
-walker for PD codes, and a fresh breadth-first search for word lengths.
+walker for PD codes, a fresh breadth-first search for word lengths, and
+long division from the top for windowed quotients.  ``PLANAR`` draws the
+generated planar diagrams that several modules sweep.
 """
 
-from skeinkit.diagram import PDCode
+from hypothesis import strategies as st
+
+from skeinkit.construct import rational_knot, twist_closure, with_kink
+from skeinkit.diagram import PDCode, analyze, format_pd, parse_pd
 from skeinkit.poly import LaurentPoly, ONE, monomial
 from skeinkit.quantum import delta
 from skeinkit.tl import compose, enumerate_matchings, hook
@@ -148,6 +153,65 @@ def braid_closure(width: int, word) -> PDCode:
         else:
             crossings.append((in_i, in_i1, out_i1, out_i))
     return PDCode(crossings, extra_circles=free)
+
+
+def kinked(quotients, hand, pick, positive):
+    """A rational knot with a kink added on one of its arcs."""
+    pd = rational_knot(quotients, hand)
+    arcs = sorted(analyze(pd).arc_ports)
+    return with_kink(pd, arcs[pick % len(arcs)], positive)
+
+
+def with_circles(pd, k):
+    """pd beside k crossing-free circles."""
+    return parse_pd(format_pd(pd) + " O" * k)
+
+
+_QUOTIENTS = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+_BRAID_WORDS = st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                        min_size=2, max_size=5)
+# rational knots and two-component rational links, kinked diagrams,
+# twist closures from one crossing up, mixed-sign braid closures (the
+# strands a word misses close into circles) and split diagrams
+PLANAR = st.one_of(
+    st.builds(rational_knot, _QUOTIENTS.filter(lambda q: sum(q) <= 5),
+              st.integers(0, 1)),
+    st.builds(kinked, _QUOTIENTS.filter(lambda q: sum(q) <= 3),
+              st.integers(0, 1), st.integers(0, 11), st.booleans()),
+    st.builds(twist_closure, st.integers(1, 4), st.integers(0, 1)),
+    st.builds(braid_closure, st.just(4), _BRAID_WORDS),
+    st.builds(with_circles, st.builds(rational_knot, st.sampled_from(
+        [[1], [2], [3], [2, 1]]), st.integers(0, 1)), st.integers(1, 2)),
+)
+
+
+def divide_from_top(num: LaurentPoly, den: LaurentPoly,
+                    floor: int) -> LaurentPoly:
+    """The terms of exponent >= floor of num/den, expanded from the top.
+
+    Only the terms of num above floor + (top degree of den) enter, so a
+    window of num that is exact there gives an exact window of the
+    quotient.  Each step must divide over the integers.
+    """
+    rem = num.as_dict()
+    den_terms = den.as_dict()
+    lead_exp = den.max_degree()
+    out = {}
+    while rem:
+        top = max(rem)
+        e = top - lead_exp
+        if e < floor:
+            break
+        c, m = divmod(rem[top], den_terms[lead_exp])
+        assert not m, "the quotient is not integral"
+        out[e] = c
+        for de, dc in den_terms.items():
+            v = rem.get(de + e, 0) - dc * c
+            if v:
+                rem[de + e] = v
+            else:
+                rem.pop(de + e, None)
+    return LaurentPoly.from_dict(out)
 
 
 # The (3,4) torus braid: one-sided diagram whose far coefficient side

@@ -201,18 +201,22 @@ def test_verify_stability_incomplete_is_exit_three(tmp_path, capsys):
     assert code == 3
 
 
-def test_time_limit_budget(capsys):
-    code, _, err = run(capsys, "cjones", "--color", "5", "catalog:6_1",
-                       "--time-limit", "0.01")
-    assert code == 3
-    assert "time_limit" in err
+def _cli(*argv):
+    """Run the CLI in a fresh process, so that no invariant cached by an
+    earlier test answers at once."""
+    return subprocess.run([sys.executable, "-m", "skeinkit.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_time_limit_budget():
+    proc = _cli("cjones", "--color", "5", "catalog:6_1", "--time-limit",
+                "0.01")
+    assert proc.returncode == 3
+    assert "time_limit" in proc.stderr
     # the limit trips inside a long sweep (the cut 6-cable of 6_2 takes
-    # 3-7 s); a fresh process, so no cached invariant answers at once
+    # 3-7 s)
     t0 = time.monotonic()
-    proc = subprocess.run(
-        [sys.executable, "-m", "skeinkit.cli", "cjones", "--color", "7",
-         "catalog:6_2", "--time-limit", "1"],
-        capture_output=True, text=True, timeout=60)
+    proc = _cli("cjones", "--color", "7", "catalog:6_2", "--time-limit", "1")
     assert time.monotonic() - t0 < 5
     assert proc.returncode == 3
     assert "time_limit" in proc.stderr
@@ -286,3 +290,45 @@ def test_code_without_planar_drawing_names_its_genus(tmp_path, capsys):
     assert "genus 1" in err and "no planar drawing" in err
     assert "not divisible by the colored unknot" in err
     assert "Traceback" not in err
+
+
+def test_width_budget_applies_to_the_windowed_cut_cable(capsys):
+    # tail --terms 4 sweeps colors 4 and 5; the cut 4-cable of 6_2 (color
+    # 5) plans at width 16
+    code, out, err = run(capsys, "tail", "--terms", "4", "catalog:6_2",
+                         "--max-width", "15")
+    assert code == 3 and out == ""
+    assert "max_width" in err and "needed 16" in err
+    code, out, err = run(capsys, "verify-stability", "--max", "6",
+                         "catalog:6_2", "--max-width", "15")
+    assert code == 3 and err == ""
+    assert "complete: false" in out.splitlines()
+
+
+def test_time_limit_trips_inside_the_windowed_cut_sweep(tmp_path,
+                                                        monkeypatch, capsys):
+    # the A side of this 3-braid knot is not adequate: tail --terms 5
+    # descends windows of the cut 4- and 5-cables for about 30 s, all
+    # but the first second or so in one window of the 5-cable
+    from skeinkit import _sweep_py
+    path = tmp_path / "braid.pd"
+    path.write_text(format_pd(braid_closure(3, [-2, -1, -1, -2, -2, -1]))
+                    + "\n")
+    sweep = _sweep_py.run
+    tripped = []
+
+    def watched(*args, **kwargs):
+        try:
+            return sweep(*args, **kwargs)
+        except BudgetError as exc:
+            tripped.append((exc.budget, kwargs.get("floor") is not None,
+                            bool(kwargs.get("identity"))))
+            raise
+
+    monkeypatch.setattr(_sweep_py, "run", watched)
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "tail", "--terms", "5", str(path),
+                         "--time-limit", "2")
+    assert time.monotonic() - t0 < 6
+    assert code == 3 and out == "" and "time_limit" in err
+    assert tripped == [("time_limit", True, True)]

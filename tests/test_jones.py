@@ -5,23 +5,26 @@ import itertools
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import CORPUS_JONES, braid_closure
+from oracles import (
+    CORPUS_JONES, PLANAR, braid_closure, divide_from_top, kinked,
+    with_circles,
+)
 from skeinkit import _sweep_py
 from skeinkit.construct import rational_knot, twist_closure, with_kink
 from skeinkit._sweep_py import replay_circles
 from skeinkit.diagram import (
     MAX_WIDTH, PDCode, adequacy, analyze, apply_state, cable_multi,
     catalog_lookup, catalog_names, format_pd, genus, mirror, parse_pd,
-    plan_sweep,
+    plan_sweep, writhe,
 )
 from skeinkit.errors import BudgetError
 from skeinkit.jones import (
-    _cables, _long_knot, bracket, brute_force_bracket,
+    _cables, _long_knot, _swept, bracket, brute_force_bracket,
     chebyshev_coefficients, colored_bracket, jones_polynomial,
     reduced_colored, reduced_colored_top, unreduced_colored,
 )
 from skeinkit.poly import LaurentPoly, ONE, ZERO, to_q
-from skeinkit.quantum import delta
+from skeinkit.quantum import delta, gamma
 
 
 def test_bracket_trivial_diagrams():
@@ -221,18 +224,20 @@ def test_reduced_colored_top_is_the_full_top():
     # exact above the floor on every diagram, and holding `terms`
     # coefficients from the true top unless it is the whole invariant;
     # the certified top is that top wherever the diagram is A-adequate
-    cases = [catalog_lookup(n) for n in catalog_names()
-             if catalog_lookup(n).crossings]
-    cases += [rational_knot([4], 0), rational_knot([1, 3], 1),
+    catalog = [catalog_lookup(n) for n in catalog_names()
+               if catalog_lookup(n).crossings]
+    others = [rational_knot([4], 0), rational_knot([1, 3], 1),
               parse_pd(format_pd(catalog_lookup("3_1")) + " O")]
     # 3_1_badequate is in the catalog; these braids are not adequate on
     # one side or, the last, on either
-    cases += [braid_closure(3, [1, 1, 1, -2]),
-              braid_closure(3, [1, -2, -2, -2]),
-              braid_closure(4, [1, 2, -3, 2])]
-    assert not all(adequacy(pd).a_adequate for pd in cases)
-    for pd in cases + [mirror(pd) for pd in cases]:
-        for dim in (1, 2, 3, 4):
+    others += [braid_closure(3, [1, 1, 1, -2]),
+               braid_closure(3, [1, -2, -2, -2]),
+               braid_closure(4, [1, 2, -3, 2])]
+    assert not all(adequacy(pd).a_adequate for pd in catalog + others)
+    # dimension 5, the cut 4-cable, on the catalog
+    cases = [(pd, 5) for pd in catalog] + [(pd, 4) for pd in others]
+    for pd, dims in cases + [(mirror(pd), dims) for pd, dims in cases]:
+        for dim in range(1, dims + 1):
             full = reduced_colored(pd, dim)
             for terms in (1, 3, 5):
                 top, floor = reduced_colored_top(pd, dim, terms)
@@ -254,34 +259,6 @@ def _cable_sum(pd, n):
     return sum((w * bracket(c) for w, c in _cables(pd, n)), ZERO)
 
 
-def _kinked(quotients, hand, pick, positive):
-    pd = rational_knot(quotients, hand)
-    arcs = sorted(analyze(pd).arc_ports)
-    return with_kink(pd, arcs[pick % len(arcs)], positive)
-
-
-def _with_circles(pd, k):
-    return parse_pd(format_pd(pd) + " O" * k)
-
-
-_QUOTIENTS = st.lists(st.integers(1, 3), min_size=1, max_size=3)
-_BRAID_WORDS = st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]),
-                        min_size=2, max_size=5)
-# rational knots and two-component rational links, kinked diagrams,
-# twist closures from one crossing up, mixed-sign braid closures (the
-# strands a word misses close into circles) and split diagrams
-PLANAR = st.one_of(
-    st.builds(rational_knot, _QUOTIENTS.filter(lambda q: sum(q) <= 5),
-              st.integers(0, 1)),
-    st.builds(_kinked, _QUOTIENTS.filter(lambda q: sum(q) <= 3),
-              st.integers(0, 1), st.integers(0, 11), st.booleans()),
-    st.builds(twist_closure, st.integers(1, 4), st.integers(0, 1)),
-    st.builds(braid_closure, st.just(4), _BRAID_WORDS),
-    st.builds(_with_circles, st.builds(rational_knot, st.sampled_from(
-        [[1], [2], [3], [2, 1]]), st.integers(0, 1)), st.integers(1, 2)),
-)
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(PLANAR, st.booleans(), st.integers(1, 4))
 def test_long_knot_matches_cables_on_generated(pd, mirrored, color):
@@ -297,10 +274,10 @@ def test_long_knot_covers_every_diagram_kind():
     # each kind the generated test draws, pinned once at color 3
     cases = [rational_knot([2, 1], 1), rational_knot([4], 0),
              rational_knot([1, 2, 1], 0), twist_closure(1),
-             twist_closure(2, 1), _kinked([3], 0, 2, False),
+             twist_closure(2, 1), kinked([3], 0, 2, False),
              braid_closure(3, [1, -2, 1, -2]), braid_closure(4, [1, -3, 2]),
              braid_closure(4, [-3, -1, 3]),
-             _with_circles(rational_knot([3], 0), 2)]
+             with_circles(rational_knot([3], 0), 2)]
     assert {analyze(pd).total_components for pd in cases} >= {1, 2, 3}
     for pd in cases + [mirror(pd) for pd in cases]:
         assert colored_bracket(pd, 2) == _cable_sum(pd, 2), format_pd(pd)
@@ -315,9 +292,23 @@ def test_long_knot_matches_cables_on_catalog():
                 assert colored_bracket(d, n) == _cable_sum(d, n), (name, n)
 
 
+def _cable_window(pd, color_dim, floor):
+    """The terms >= floor of the reduced invariant from the closed
+    cables: the Chebyshev sum of their windowed sweeps, times the frame,
+    divided by the colored unknot from the top."""
+    n = color_dim - 1
+    frame = gamma(n, n, 0) ** (-writhe(pd))
+    # the dividend's terms >= floor + 2n decide the quotient's >= floor
+    low = floor + 2 * n - frame.max_degree()
+    total = sum((w * _swept(c, low, MAX_WIDTH) for w, c in _cables(pd, n)),
+                ZERO)
+    return divide_from_top(frame * total, delta(n), floor)
+
+
 def test_long_knot_ends_match_cable_windows_at_colors_five_and_six():
     # the full cable sums are out of tier-1's reach here, so compare
-    # both ends with the windowed cable sweep, and the mirror rule
+    # both ends with windowed sweeps of the closed cables, and the mirror
+    # rule
     try:
         for name in catalog_names():
             pd = catalog_lookup(name)
@@ -330,6 +321,8 @@ def test_long_knot_ends_match_cable_windows_at_colors_five_and_six():
                     top, floor = reduced_colored_top(d, color, 3)
                     assert top == LaurentPoly(tuple(
                         t for t in p.terms if t[0] >= floor)), (name, color)
+                    assert top == _cable_window(d, color, floor), \
+                        (name, color)
     finally:
         # tests that time a cold computation must not find these cached
         colored_bracket.cache_clear()

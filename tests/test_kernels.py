@@ -1,13 +1,13 @@
-"""The sweep kernel's entry points: replay, the degree window, and
-independence of the plan's crossing order.
+"""The sweep kernel's entry points: replay, the degree window on closed
+and cut plans, and independence of the plan's crossing order.
 
 Exactness of the full sweep against the literal state sum is checked by
 the Hypothesis tests in test_jones.py.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import braid_closure
+from oracles import PLANAR, braid_closure
 from skeinkit import _sweep_py
 from skeinkit._kernel import available_kernels, pick_kernel, run_packed
 from skeinkit._sweep_py import certified_top, replay_circles, run
@@ -16,7 +16,7 @@ from skeinkit.diagram import (
     all_a, analyze, apply_state, cable, catalog_lookup, catalog_names,
     format_pd, mirror, parse_pd, plan_sweep,
 )
-from skeinkit.jones import brute_force_bracket
+from skeinkit.jones import _long_knot_sweeps, brute_force_bracket
 from skeinkit.poly import LaurentPoly
 from skeinkit.quantum import delta
 
@@ -130,3 +130,83 @@ def test_sweep_is_invariant_under_plan_order(case, data):
     top = certified_top(prog)
     for floor in range(top - 12, top + 1):
         assert run_packed(prog, floor=floor) == _restricted(full, floor)
+
+
+def _check_cut_window(plan, every=1):
+    """The windowed sweep of a cut plan is the coefficient of the
+    identity cut to its floor, from above the certified top down to
+    below the lowest term.  ``every`` > 1 keeps every floor of the top
+    24 exponents, where tail windows lie, and the floor under the lowest
+    term, and takes every ``every``-th floor between."""
+    full = run(plan.program, identity=plan.identity)
+    top = certified_top(plan.program, plan.identity)
+    if full[1]:
+        assert full[0] + 2 * (len(full[1]) - 1) <= top
+    bottom = full[0] if full[1] else top
+    floors = range(top + 1, bottom - 3, -1)
+    if every > 1:
+        floors = [*floors[:24], *floors[24:-1:every], floors[-1]]
+    for floor in floors:
+        assert run_packed(plan.program, floor=floor,
+                          identity=plan.identity) \
+            == _restricted(full, floor), floor
+
+
+def _cut_plans(pd, n):
+    return [plan for _, _, plan in _long_knot_sweeps(pd, n)
+            if plan and plan.identity]
+
+
+def test_cut_window_equals_restricted_identity_run_on_catalog():
+    for name in catalog_names():
+        pd = catalog_lookup(name)
+        if not pd.crossings:
+            continue
+        for d in (pd, mirror(pd)):
+            # the 4-cable on the trefoil and on its diagram that is not
+            # adequate; a stride of 11 meets both parities and every
+            # offset mod 4
+            colors = (2, 3, 4) if name.startswith("3_1") else (2, 3)
+            for n in colors:
+                for plan in _cut_plans(d, n):
+                    _check_cut_window(plan, 1 if n == 2 else 11)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(PLANAR, st.booleans(), st.integers(1, 3))
+def test_cut_window_equals_restricted_identity_run_on_generated(
+        pd, mirrored, n):
+    # two-component links, kinks, split circles and mixed braids; a link
+    # has one cut plan per Chebyshev pattern of its other components
+    if mirrored:
+        pd = mirror(pd)
+    assume(len(pd.crossings) * n * n <= 40)
+    for plan in _cut_plans(pd, n):
+        _check_cut_window(plan)
+
+
+def test_cut_window_at_the_certified_top_keeps_only_the_all_a_state(
+        monkeypatch):
+    # on an A-adequate diagram every state with a B-smoothing lies at
+    # least 4 below the all-A state's top, so a window there keeps one
+    # state after every step; that needs the bound of each cut to count
+    # the circles the identity closes, and then to drop the k identity
+    # circles of the closure
+    kept = []
+    prune = _sweep_py._prune
+
+    def counted(states, low, pairs):
+        out = prune(states, low, pairs)
+        kept.append(len(out))
+        return out
+
+    monkeypatch.setattr(_sweep_py, "_prune", counted)
+    for name in ("3_1", "4_1", "6_2"):
+        for n in (2, 3, 4):
+            plan = _cut_plans(catalog_lookup(name), n)[-1]
+            top = certified_top(plan.program, plan.identity)
+            kept.clear()
+            base, coeffs = run(plan.program, floor=top,
+                               identity=plan.identity)
+            assert (base, len(coeffs)) == (top, 1), (name, n)
+            assert set(kept) == {1}, (name, n)

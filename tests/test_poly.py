@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from skeinkit.errors import DegreeError, ExactnessError
 from skeinkit.poly import (
     A, ONE, ZERO, LaurentPoly, QPresentation, RationalFn,
-    exact_divide, to_q, truncate,
+    exact_divide, to_q,
 )
 
 DELTA = LaurentPoly.from_dict({2: -1, -2: -1})
@@ -125,38 +125,6 @@ class TestRationalFn:
     def test_add(self):
         r = RationalFn(ONE, DELTA) + RationalFn(ONE, DELTA)
         assert r == RationalFn(2 * ONE, DELTA)
-
-
-class TestTruncate:
-    def test_geometric(self):
-        r = RationalFn(ONE, ONE - A)
-        assert truncate(r, 3) == ONE + A + A * A
-
-    def test_reciprocal_loop_value(self):
-        # 1/delta = 1/(-A^-2 - A^2) expands from its low end at degree +2.
-        r = RationalFn(ONE, DELTA)
-        assert truncate(r, 2) == LaurentPoly.monomial(-1, 2)
-        assert truncate(r, 6) == LaurentPoly.from_dict({2: -1, 6: 1})
-
-    @given(nonzero_polys, nonzero_polys, st.integers(1, 8))
-    def test_multiply_back_window(self, p, q, k):
-        """(truncate(p/q, k) * q - p) has no support below d(p/q) + k + d(q)."""
-        # force a unit low coefficient so the expansion stays integral
-        low = q.min_degree()
-        q = LaurentPoly(tuple((e, 1 if e == low else c) for e, c in q.terms))
-        r = RationalFn(p, q)
-        t = truncate(r, k)
-        diff = t * q - p
-        if not diff.is_zero:
-            assert diff.min_degree() >= r.min_degree() + k + q.min_degree()
-
-    def test_non_integer_series_rejected(self):
-        with pytest.raises(ExactnessError):
-            truncate(RationalFn(ONE, 2 * ONE + A), 3)
-
-    def test_zero_and_empty(self):
-        assert truncate(RationalFn(ZERO, ONE), 5) == ZERO
-        assert truncate(RationalFn(ONE, ONE), 0) == ZERO
 
 
 class TestQPresentation:
