@@ -432,10 +432,6 @@ class StateGraph:
     edges: tuple[tuple[int, int], ...]
 
     @property
-    def loops(self) -> tuple[int, ...]:
-        return tuple(i for i, (u, v) in enumerate(self.edges) if u == v)
-
-    @property
     def has_loop(self) -> bool:
         return any(u == v for u, v in self.edges)
 

@@ -129,7 +129,14 @@ def chebyshev_coefficients(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((m, c) for m, c in out.items() if c))
 
 
-@functools.lru_cache(maxsize=256)
+def _cuts(pd: diagram.PDCode, n: int) -> bool:
+    """Does color n of pd come from the cut n-cable (:func:`_long_knot`)?
+    Only for n >= 2 on a planar code with crossings: at n = 1 a lone cut
+    arc prunes nothing, and the whole 1-cable is as cheap to sweep and
+    plans once; the projector argument needs a planar drawing."""
+    return n > 1 and bool(pd.crossings) and not diagram.genus(pd)
+
+
 def colored_bracket(pd: diagram.PDCode, n: int,
                     max_width: int = diagram.MAX_WIDTH) -> LaurentPoly:
     """Bracket of the diagram with every component carrying color n.
@@ -145,9 +152,7 @@ def colored_bracket(pd: diagram.PDCode, n: int,
         raise ValueError("color must be >= 0")
     if not pd.crossings and not pd.extra_circles:
         return ONE
-    # at n = 1 a lone cut arc prunes nothing: the whole 1-cable is as
-    # cheap to sweep and plans once
-    if n > 1 and pd.crossings and not diagram.genus(pd):
+    if _cuts(pd, n):
         return _long_knot(pd, n, max_width) * delta(n)
     total = LaurentPoly()
     for weight, cabled in _cables(pd, n):
@@ -303,12 +308,14 @@ def jones_polynomial(pd: diagram.PDCode,
 
 def reduced_colored_top(pd: diagram.PDCode, color_dim: int, terms: int,
                         max_width: int = diagram.MAX_WIDTH
-                        ) -> tuple[LaurentPoly, int]:
+                        ) -> tuple[LaurentPoly, Optional[int]]:
     """The top ``terms`` q-coefficients of :func:`reduced_colored`.
 
-    Returns ``(p, floor)``: p equals ``reduced_colored(pd, color_dim)`` on
+    Returns ``(p, floor)``.  floor is None exactly when p is the whole
+    invariant.  Otherwise p equals ``reduced_colored(pd, color_dim)`` on
     the A-exponents >= floor and is zero below; its top is the true top,
-    and it holds ``terms`` q-coefficients unless it is the whole invariant.
+    and it holds at least ``terms`` q-coefficients.  This function alone
+    decides between a window and the whole invariant.
 
     The reduced invariant is frame * lambda, for lambda of
     :func:`_long_knot` and the monomial frame of the writhe, so a degree
@@ -318,16 +325,15 @@ def reduced_colored_top(pd: diagram.PDCode, color_dim: int, terms: int,
     descends from that top, which an A-adequate diagram attains: a window
     that shows a lower top is swept again with the floor under it, an
     empty one steps down further each time, and at the bottom bound the
-    window is the full sweep.  Below color 3 (n <= 1), and on a code with
-    no planar drawing or no crossings, p is the whole invariant, as
-    :func:`colored_bracket` computes it.
+    window is the full sweep, so p is whole.  Where :func:`colored_bracket`
+    does not cut (below color 3, and on a code with no planar drawing or
+    no crossings), p is the whole invariant as it computes it.
     """
     if color_dim < 1 or terms < 1:
         raise ValueError("color dimension and terms must be >= 1")
     n = color_dim - 1
-    if n <= 1 or not pd.crossings or diagram.genus(pd):
-        p = reduced_colored(pd, color_dim, max_width=max_width)
-        return p, p.min_degree()
+    if not _cuts(pd, n):
+        return reduced_colored(pd, color_dim, max_width=max_width), None
     full = _long_knot_sweeps(pd, n)[-1][1]
     t = len(full.crossings)
     a = diagram.apply_state(full, diagram.all_a(full)).count
@@ -345,4 +351,5 @@ def reduced_colored_top(pd: diagram.PDCode, color_dim: int, terms: int,
                     else total.max_degree() - span)
         step *= 2
     frame = gamma(n, n, 0) ** (-diagram.writhe(pd))
-    return frame * total, floor + frame.max_degree()
+    return frame * total, (None if floor == bottom
+                           else floor + frame.max_degree())

@@ -201,30 +201,18 @@ def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """Return r with p == q*r, or raise ExactnessError if no such r exists.
 
     Division proceeds from the low-degree end; the quotient exists iff
-    every step divides exactly and the remainder reaches zero.
+    every step divides exactly over the integers and the remainder
+    reaches zero by the top quotient exponent.
     """
     if q.is_zero:
         raise ExactnessError("division by the zero polynomial")
     if p.is_zero:
         return ZERO
-    out, rem = _divide_low(p, q, p.max_degree() - q.max_degree() + 1)
-    if rem:
-        raise ExactnessError(f"{q} does not divide {p} exactly")
-    return LaurentPoly(tuple(out.items()))
-
-
-def _divide_low(num: LaurentPoly, den: LaurentPoly,
-                stop: int) -> tuple[dict[int, int], dict[int, int]]:
-    """Long division from the low-degree end, up to quotient exponent
-    ``stop`` (exclusive); returns (quotient slots, remainder).
-
-    Raises ExactnessError at a step that does not divide over the
-    integers.
-    """
-    d = dict(den.terms)
-    d_min = den.min_degree()
+    d = dict(q.terms)
+    d_min = q.min_degree()
     lead = d[d_min]
-    rem = dict(num.terms)
+    stop = p.max_degree() - q.max_degree() + 1
+    rem = dict(p.terms)
     out: dict[int, int] = {}
     while rem:
         r_min = min(rem)
@@ -234,7 +222,7 @@ def _divide_low(num: LaurentPoly, den: LaurentPoly,
         c, m = divmod(rem[r_min], lead)
         if m:
             raise ExactnessError(
-                f"{den} does not divide {num} over the integers")
+                f"{q} does not divide {p} over the integers")
         out[e] = c
         for de, dc in d.items():
             k = de + e
@@ -243,7 +231,9 @@ def _divide_low(num: LaurentPoly, den: LaurentPoly,
                 rem[k] = v
             else:
                 rem.pop(k, None)
-    return out, rem
+    if rem:
+        raise ExactnessError(f"{q} does not divide {p} exactly")
+    return LaurentPoly(tuple(out.items()))
 
 
 @dataclasses.dataclass(frozen=True, slots=True, eq=False)

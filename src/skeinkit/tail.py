@@ -11,26 +11,24 @@ series is the *tail* (and, at the other end of the polynomial, the
 This module provides the comparison, the extraction of verified stable
 coefficients, and a per-color verification harness used by the CLI.
 
-Both compare only the first few coefficients, so on a planar diagram
-they compute only those: the top of the reduced invariant, in a window
-that :func:`skeinkit.jones.reduced_colored_top` lowers until it holds
-them, and widened here until it decides what the full polynomials
-would.  From color 3 on, each window is one degree-windowed sweep of
-the n-cable cut open at one arc, with no division.  So results never
-depend on the window, and a code that is not planar uses the full
-polynomials.
+Both compare only the first few coefficients, so each color is asked
+for only those: :func:`skeinkit.jones.reduced_colored_top` returns the
+top of the reduced invariant, in a window it lowers until it holds
+them, or the whole invariant where it takes no window (below color 3,
+and on a code that is not planar).  The one path here widens a window
+until it decides what the full polynomials would, so results never
+depend on the window.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Union
 
-from .diagram import MAX_WIDTH, PDCode, genus, mirror
+from .diagram import MAX_WIDTH, PDCode, mirror
 from .errors import BudgetError, StabilizationError
-from .jones import reduced_colored, reduced_colored_top
-from .poly import LaurentPoly, QPresentation, to_q
+from .jones import reduced_colored_top
+from .poly import LaurentPoly, to_q
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -61,21 +59,19 @@ class QSeries:
         return QSeries(self.sign, self.shift_halves, 1, tuple(co))
 
 
-def normalize(p: Union[LaurentPoly, QPresentation]) -> QSeries:
+def normalize(p: LaurentPoly) -> QSeries:
     """Factor out sign and leading power so the series starts with +c, c > 0.
 
-    Accepts an A-polynomial (converted through its q-presentation) or a
-    ready q-presentation.  Rejects zero.
+    Goes through the q-presentation of p, whose first coefficient is
+    positive and last nonzero.  Rejects zero with ValueError.
     """
-    q = to_q(p) if isinstance(p, LaurentPoly) else p
+    if p.is_zero:
+        raise ValueError("the zero polynomial has no normalized series")
+    q = to_q(p)
     lo = q.min_halfq
-    halves = list(q.coeffs)  # dense in half-q steps starting at lo
+    halves = q.coeffs  # dense in half-q steps starting at lo
     step = 2 if all(c == 0 for c in halves[1::2]) and lo % 2 == 0 else 1
-    co = halves[::step]
-    while co and co[-1] == 0:
-        co.pop()
-    sign = 1 if co[0] > 0 else -1
-    return QSeries(sign * q.sign, lo, step, tuple(sign * c for c in co))
+    return QSeries(q.sign, lo, step, halves[::step])
 
 
 def dot_eq(p1, p2, n: int) -> tuple[bool, int | None]:
@@ -102,26 +98,13 @@ def dot_eq(p1, p2, n: int) -> tuple[bool, int | None]:
     return ok, mismatch
 
 
-def _window_diagram(d: PDCode, side: str):
-    """The diagram whose top A-end carries ``side`` of d's series, or
-    None for a code that is not planar: its exponents can mix classes
-    mod 4, so a window's normalization step need not be the series'."""
-    if genus(d):
-        return None
-    return d if side == "tail" else mirror(d)
-
-
-def _series(d: PDCode, window_pd, color_dim: int, terms: int, side: str,
+def _series(window_pd: PDCode, color_dim: int, terms: int,
             max_width: int) -> tuple[LaurentPoly, int | None]:
     """(series, held) of one color: the top held >= terms q-coefficients
     of the series are exact.  held is None when the series is whole."""
-    if window_pd is None:
-        p = reduced_colored(d, color_dim, max_width=max_width)
-        return (p.mirror() if side == "head" else p), None
     p, floor = reduced_colored_top(window_pd, color_dim, terms,
                                    max_width=max_width)
-    held = (p.max_degree() - floor) // 4 + 1
-    return p, (held if held >= terms else None)
+    return p, None if floor is None else (p.max_degree() - floor) // 4 + 1
 
 
 def tail_extract(d: PDCode, k: int, side: str = "tail",
@@ -131,19 +114,21 @@ def tail_extract(d: PDCode, k: int, side: str = "tail",
     Computes the reduced invariant at colors k and k+1 and confirms
     they agree below q^k before reporting anything; a disagreement
     raises StabilizationError with the witness.  The head is the tail
-    of the mirrored polynomial (q -> 1/q).  ``max_width`` bounds each
-    sweep, as in :func:`skeinkit.jones.reduced_colored`.  On a planar
-    code only the top k q-coefficients of each color are computed (and
-    the lowest term, when they end in zeros); they decide the
-    comparison below q^k, the witness included.
+    of the mirror diagram, whose invariant is the mirrored polynomial
+    (q -> 1/q).  ``max_width`` bounds each sweep, as in
+    :func:`skeinkit.jones.reduced_colored_top`.  Each color is asked for
+    its top k q-coefficients only (and the lowest term, when a window
+    ends in zeros); they decide the comparison below q^k, the witness
+    included.
     """
     if k < 1:
         raise ValueError("need k >= 1 coefficients")
     if side not in ("tail", "head"):
         raise ValueError(f"side must be 'tail' or 'head', not {side!r}")
-    window_pd = _window_diagram(d, side)
-    jk, held = _series(d, window_pd, k, k, side, max_width)
-    jk1, _ = _series(d, window_pd, k + 1, k, side, max_width)
+    # the top A-end of d carries its tail, the top of its mirror the head
+    window_pd = d if side == "tail" else mirror(d)
+    jk, held = _series(window_pd, k, k, max_width)
+    jk1, _ = _series(window_pd, k + 1, k, max_width)
     ok, mismatch = dot_eq(jk, jk1, k)
     if not ok:
         raise StabilizationError(k, mismatch,
@@ -192,7 +177,7 @@ class StabilizationReport:
                 "records": [r.as_dict() for r in self.records]}
 
 
-def _compare(d: PDCode, window_pd, prev, cur, n: int, max_width: int):
+def _compare(window_pd: PDCode, prev, cur, n: int, max_width: int):
     """dot_eq of colors n and n+1, each a (series, held) pair from
     :func:`_series`, both widened until they hold the first difference
     or are whole; and color n+1 as widened."""
@@ -205,8 +190,8 @@ def _compare(d: PDCode, window_pd, prev, cur, n: int, max_width: int):
         step = min(normalize(p1).step_halves, normalize(p2).step_halves)
         if mismatch is not None and step * mismatch < 2 * held:
             return ok, mismatch, cur
-        prev = _series(d, window_pd, n, 2 * held, "tail", max_width)
-        cur = _series(d, window_pd, n + 1, 2 * held, "tail", max_width)
+        prev = _series(window_pd, n, 2 * held, max_width)
+        cur = _series(window_pd, n + 1, 2 * held, max_width)
 
 
 def stabilization_check(d: PDCode, n_max: int,
@@ -223,7 +208,6 @@ def stabilization_check(d: PDCode, n_max: int,
     """
     if n_max < 3:
         raise ValueError("n_max must be at least 3")
-    window_pd = _window_diagram(d, "tail")
     records = []
     complete = True
     prev = None
@@ -232,11 +216,10 @@ def stabilization_check(d: PDCode, n_max: int,
         try:
             # color N is compared with N-1 and N+1, which need N and N+1
             # terms
-            cur = _series(d, window_pd, color, min(color + 1, n_max),
-                          "tail", max_width)
+            cur = _series(d, color, min(color + 1, n_max), max_width)
             if prev is not None:
-                ok, mismatch, cur = _compare(d, window_pd, prev, cur,
-                                             color - 1, max_width)
+                ok, mismatch, cur = _compare(d, prev, cur, color - 1,
+                                             max_width)
                 records.append(StabilizationRecord(
                     color - 1, ok, mismatch, time.monotonic() - t0))
         except BudgetError:

@@ -1,9 +1,15 @@
 import re
 
 import pytest
+from hypothesis import settings
 
 from skeinkit.diagram import catalog_lookup
 from skeinkit.jones import reduced_colored
+
+# every property test draws the same examples on every run, so a failure
+# reproduces; the sweeps' run time varies too much for a deadline
+settings.register_profile("skeinkit", derandomize=True, deadline=None)
+settings.load_profile("skeinkit")
 
 
 @pytest.fixture(scope="session")

@@ -57,7 +57,7 @@ def test_rational_knot_rejects_bad_quotients():
             rational_tangle(bad, 0)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(st.lists(st.integers(1, 3), min_size=1, max_size=4),
        st.integers(0, 1))
 def test_rational_bracket_matches_oracle(quotients, hand):

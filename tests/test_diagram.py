@@ -1,7 +1,7 @@
 """PD parsing, orientation/writhe analysis, smoothing states, cables."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from skeinkit.diagram import (
     PDCode, adequacy, all_a, all_b, analyze, apply_state, cable,
@@ -147,7 +147,6 @@ def test_plan_sweep_respects_explicit_order():
     assert plan.order == (2, 0, 1)
 
 
-@settings(derandomize=True)
 @given(st.integers(0, 2 ** 6 - 1))
 def test_state_circle_bound(mask):
     # every smoothing of a 6-crossing diagram has between 1 and n+1 circles

@@ -92,7 +92,7 @@ def _generated(case):
     return mirror(pd) if mirrored else pd
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(st.one_of(
     st.tuples(st.lists(st.integers(1, 4), min_size=1, max_size=4)
               .filter(lambda q: sum(q) <= 10),
@@ -107,7 +107,7 @@ def test_window_equals_restricted_full_run_on_generated(case):
     _check_window(_generated(case))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(st.one_of(
     st.tuples(st.lists(st.integers(1, 4), min_size=1, max_size=4)
               .filter(lambda q: sum(q) <= 7),
@@ -172,7 +172,7 @@ def test_cut_window_equals_restricted_identity_run_on_catalog():
                     _check_cut_window(plan, 1 if n == 2 else 11)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(PLANAR, st.booleans(), st.integers(1, 3))
 def test_cut_window_equals_restricted_identity_run_on_generated(
         pd, mirrored, n):

@@ -1,7 +1,7 @@
 """Laurent polynomial / rational function unit tests."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from skeinkit.errors import DegreeError, ExactnessError
 from skeinkit.poly import (
@@ -19,7 +19,6 @@ nonzero_polys = polys.filter(lambda p: not p.is_zero)
 
 
 class TestRing:
-    @settings(derandomize=True)
     @given(polys, polys, polys)
     def test_add_mul_axioms(self, p, q, r):
         assert p + q == q + p
@@ -28,7 +27,6 @@ class TestRing:
         assert (p * q) * r == p * (q * r)
         assert p * (q + r) == p * q + p * r
 
-    @settings(derandomize=True)
     @given(polys)
     def test_units(self, p):
         assert p + ZERO == p
@@ -36,7 +34,6 @@ class TestRing:
         assert p - p == ZERO
         assert p * ZERO == ZERO
 
-    @settings(derandomize=True)
     @given(polys)
     def test_int_coercion(self, p):
         assert p + 0 == p
@@ -44,24 +41,20 @@ class TestRing:
         assert 2 * p == p + p
         assert p - 1 == p - ONE
 
-    @settings(derandomize=True)
     @given(nonzero_polys, nonzero_polys)
     def test_degrees_multiplicative(self, p, q):
         assert (p * q).min_degree() == p.min_degree() + q.min_degree()
         assert (p * q).max_degree() == p.max_degree() + q.max_degree()
 
-    @settings(derandomize=True)
     @given(polys)
     def test_mirror_involution(self, p):
         assert p.mirror().mirror() == p
 
-    @settings(derandomize=True)
     @given(nonzero_polys, nonzero_polys)
     def test_mirror_ring_hom(self, p, q):
         assert (p * q).mirror() == p.mirror() * q.mirror()
         assert (p + q).mirror() == p.mirror() + q.mirror()
 
-    @settings(derandomize=True)
     @given(polys, st.integers(0, 5))
     def test_pow_matches_repeated_mul(self, p, n):
         expected = ONE

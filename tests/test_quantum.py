@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from skeinkit.errors import AdmissibilityError
 from skeinkit.poly import LaurentPoly, ONE, RationalFn
@@ -28,7 +28,6 @@ def test_delta_factorial():
     assert delta_factorial(4) == delta(1) * delta(2) * delta(3) * delta(4)
 
 
-@settings(derandomize=True)
 @given(st.integers(0, 12))
 def test_delta_recursion(n):
     # three-term recursion of the loop expansion (delta(1) is the loop value)
@@ -49,7 +48,6 @@ def test_admissible_colors():
         admissible_colors(-1, 2)
 
 
-@settings(derandomize=True)
 @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 14))
 def test_admissible_matches_enumeration(a, b, c):
     assert admissible(a, b, c) == (c in admissible_colors(a, b))

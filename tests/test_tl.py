@@ -3,7 +3,6 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from oracles import bfs_word_lengths
 from skeinkit.errors import AdmissibilityError, BudgetError, PDError
