@@ -482,12 +482,6 @@ def emit_pd(num_nodes: int,
     twice).  Junction chains are contracted; junction-only cycles become
     crossing-free circles.  Arc labels are assigned by walking the strands.
     """
-    return _emit(num_nodes, links, extra_circles)[0]
-
-
-def _emit(num_nodes, links, extra_circles):
-    """:func:`emit_pd`, also returning {junction: label of its arc} for
-    every junction that lies on an arc (not on a crossing-free circle)."""
     adj: dict = {}
     for t, u in links:
         adj.setdefault(t, []).append(u)
@@ -505,7 +499,6 @@ def _emit(num_nodes, links, extra_circles):
     # contract junction chains into port-to-port glue
     glue: dict = {}
     visited: set = set()
-    chain: dict = {}            # junction -> a port at an end of its arc
     circles = extra_circles
     for t in adj:
         if not is_port(t) or t in visited:
@@ -517,7 +510,6 @@ def _emit(num_nodes, links, extra_circles):
             if not nxts:  # a junction linked twice to the same neighbor
                 nxts = [adj[cur][1]] if adj[cur][0] == prev else [adj[cur][0]]
             visited.add(cur)
-            chain[cur] = t
             prev, cur = cur, nxts[0]
         visited.add(cur)
         glue[t] = cur
@@ -540,49 +532,51 @@ def _emit(num_nodes, links, extra_circles):
     if set(glue) != expected_ports:
         missing = expected_ports - set(glue)
         raise InternalError(f"unwired crossing ports: {sorted(missing)[:4]}")
+    ports = [glue["p", i, s] for i in range(num_nodes) for s in range(4)]
+    return _label([4 * j + s for _, j, s in ports], circles)[0]
 
-    # walk strands, assigning labels
-    slot_label: dict[tuple, int] = {}
-    under_entry: dict[int, int] = {}
-    entered: set = set()
+
+def _label(glue: list[int], circles: int) -> tuple[PDCode, list[int]]:
+    """(PD code, label of each port's arc) of crossings whose port
+    4*i + s (slot s of crossing i) is wired to port glue[4*i + s], beside
+    ``circles`` crossing-free circles.
+
+    Each strand is walked from the lowest port not yet passed, entering
+    the crossing there, and its arcs are labelled consecutively; each
+    crossing's tuple starts at the slot where its under-strand is entered.
+    """
+    slot_label = [0] * len(glue)
+    under_entry = [0] * (len(glue) // 4)
+    entered = bytearray(len(glue))
     label = 0
-    for start in sorted(expected_ports, key=lambda p: (p[1], p[2])):
-        if start in entered:
+    for start in range(len(glue)):
+        if entered[start]:
             continue
         # gather passages: we ENTER crossings at these ports, in order
         passages = []
         cur = start
         while True:
             passages.append(cur)
-            entered.add(cur)
-            _, i, s = cur
-            exit_port = ("p", i, s ^ 2)
-            entered.add(exit_port)      # its arc is the outgoing one
-            cur = glue[exit_port]
+            entered[cur] = entered[cur ^ 2] = 1     # cur ^ 2 is the exit
+            cur = glue[cur ^ 2]
             if cur == start:
                 break
         size = len(passages)
         for k, port in enumerate(passages):
-            _, i, s = port
-            incoming = label + (k if k else size)
-            outgoing = label + k + 1
-            slot_label[port] = incoming
-            slot_label[("p", i, s ^ 2)] = outgoing
-            if s in (0, 2):
-                under_entry[i] = s
+            slot_label[port] = label + (k if k else size)
+            slot_label[port ^ 2] = label + k + 1
+            if not port & 1:
+                under_entry[port >> 2] = port & 3
         label += size
 
-    crossings = []
-    for i in range(num_nodes):
-        u = under_entry.get(i)
-        if u is None:
-            raise InternalError(f"crossing {i} has no under passage")
-        crossings.append(tuple(
-            slot_label[("p", i, (u + k) % 4)] for k in range(4)))
-    pd = PDCode(tuple(crossings), circles)
+    lab = slot_label
+    pd = PDCode(tuple((lab[b], lab[b + 1], lab[b + 2], lab[b + 3]) if not u
+                      else (lab[b + 2], lab[b + 3], lab[b], lab[b + 1])
+                      for b, u in zip(range(0, len(glue), 4), under_entry)),
+                circles)
     if pd.crossings or pd.extra_circles:    # fully-deleted cables are empty
         analyze(pd)
-    return pd, {j: slot_label[t] for j, t in chain.items()}
+    return pd, slot_label
 
 
 def cable_multi(pd: PDCode, mults: Sequence[int],
@@ -592,7 +586,8 @@ def cable_multi(pd: PDCode, mults: Sequence[int],
     Components are ordered by smallest arc label; crossing-free circles
     come after all arc components.  Blackboard framing: each copy follows
     the diagram, so a crossing between components of multiplicity r and s
-    becomes an r*s grid of crossings of the same sign.
+    becomes an r*s grid of crossings of the same sign.  The cable with
+    every multiplicity 1 is ``pd`` itself.
 
     With ``copies`` (a dict), also record the cable's label of each copy
     of each arc a: copies[a] is the tuple of r labels, or None when the
@@ -606,73 +601,71 @@ def cable_multi(pd: PDCode, mults: Sequence[int],
             f"({info.total_components}), got {len(mults)}")
     if any(m < 0 for m in mults):
         raise PDError("multiplicities must be >= 0")
+    if all(m == 1 for m in mults):
+        if copies is not None:
+            copies.update((a, (a,)) for a in info.arc_ports)
+        return pd
 
+    crossings = pd.crossings
     r_of_arc = {a: mults[k] for a, k in info.comp_of_arc.items()}
-    # multiplicity seen by each (crossing, slot)
-    slot_mult = {}
-    for ci, cr in enumerate(pd.crossings):
-        for s in range(4):
-            slot_mult[(ci, s)] = r_of_arc[cr[s]]
-
-    links: list[tuple] = []
+    # crossing c with under and over multiplicities ru, ro becomes the
+    # nodes base[c] + i*ro + j (0 <= i < ru, 0 <= j < ro) when both are
+    # kept; the copies of the other strand pass straight through when not
+    ru_of, ro_of, base = [], [], []
     nodes = 0
-    node_id: dict[tuple, int] = {}
-
-    def port(ci, i, j, s):
-        key = (ci, i, j)
-        return ("p", node_id[key], s)
-
-    for ci in range(len(pd.crossings)):
-        ru = slot_mult[(ci, 0)]
-        ro = slot_mult[(ci, 1)]
+    gridded = set()             # components that meet a grid
+    for cr in crossings:
+        ru, ro = r_of_arc[cr[0]], r_of_arc[cr[1]]
+        ru_of.append(ru)
+        ro_of.append(ro)
+        base.append(nodes)
         if ru and ro:
-            for i in range(ru):
-                for j in range(ro):
-                    node_id[(ci, i, j)] = nodes
-                    nodes += 1
-            for i in range(ru):
-                for j in range(ro):
-                    # south face
-                    if j == 0:
-                        links.append((port(ci, i, j, 0), ("t", ci, 0, i)))
-                    else:
-                        links.append((port(ci, i, j, 0), port(ci, i, j - 1, 2)))
-                    # north boundary
-                    if j == ro - 1:
-                        links.append((port(ci, i, j, 2),
-                                      ("t", ci, 2, ru - 1 - i)))
-                    # east face
-                    if i == ru - 1:
-                        links.append((port(ci, i, j, 1), ("t", ci, 1, j)))
-                    else:
-                        links.append((port(ci, i, j, 1), port(ci, i + 1, j, 3)))
-                    # west boundary
-                    if i == 0:
-                        links.append((port(ci, i, j, 3),
-                                      ("t", ci, 3, ro - 1 - j)))
-        elif ro:    # under strand deleted: over bundle passes straight
-            for k in range(ro):
-                links.append((("t", ci, 1, k), ("t", ci, 3, ro - 1 - k)))
-        elif ru:    # over strand deleted
-            for k in range(ru):
-                links.append((("t", ci, 0, k), ("t", ci, 2, ru - 1 - k)))
+            nodes += ru * ro
+            gridded.update((info.comp_of_arc[cr[0]], info.comp_of_arc[cr[1]]))
+    far = [0] * (4 * len(crossings))    # 4*c + s -> 4*c' + s', its arc's
+    for (c1, s1), (c2, s2) in info.arc_ports.values():     # other end
+        far[4 * c1 + s1], far[4 * c2 + s2] = 4 * c2 + s2, 4 * c1 + s1
 
-    # arcs: matching cabled endpoints reverses the counterclockwise index
-    for arc, ports in info.arc_ports.items():
-        r = r_of_arc[arc]
-        (c1, s1), (c2, s2) = ports
-        for k in range(r):
-            links.append((("t", c1, s1, k), ("t", c2, s2, r - 1 - k)))
+    def enter(c, s, k):
+        """The grid port where copy k (counted counterclockwise round c)
+        of the strand at slot s of c enters a grid.  Passing straight
+        through a crossing whose other strand is deleted reverses the
+        copies, and crossing the next arc reverses them back."""
+        while not (ru_of[c] and ro_of[c]):
+            x = far[4 * c + (s ^ 2)]
+            c, s = x >> 2, x & 3
+        ru, ro = ru_of[c], ro_of[c]
+        node = (k * ro, (ru - 1) * ro + k, (ru - k) * ro - 1, ro - 1 - k)[s]
+        return 4 * (base[c] + node) + s
 
-    extra = 0
-    n_arc_comps = len(info.components)
-    for k in range(pd.extra_circles):
-        extra += mults[n_arc_comps + k]
-    cabled, labels = _emit(nodes, links, extra)
+    glue = [-1] * (4 * nodes)
+    for c in range(len(crossings)):
+        ru, ro = ru_of[c], ro_of[c]
+        if not (ru and ro):
+            continue
+        for i in range(ru):
+            for j in range(ro):
+                v = 4 * (base[c] + i * ro + j)
+                if j < ro - 1:          # north to the south of (i, j+1)
+                    glue[v + 2], glue[v + 4] = v + 4, v + 2
+                if i < ru - 1:          # east to the west of (i+1, j)
+                    glue[v + 1], glue[v + 4 * ro + 3] = v + 4 * ro + 3, v + 1
+        for s in range(4):              # across the arc, copy k meets r-1-k
+            r, x = (ro if s % 2 else ru), far[4 * c + s]
+            for k in range(r):
+                v = enter(c, s, k)
+                if glue[v] < 0:
+                    w = enter(x >> 2, x & 3, r - 1 - k)
+                    glue[v], glue[w] = w, v
+
+    # a component that meets no grid closes into one circle per copy
+    circles = sum(m for k, m in enumerate(mults) if k not in gridded)
+    cabled, slot_label = _label(glue, circles)
     if copies is not None:
         for arc, ((c, s), _) in info.arc_ports.items():
-            ends = [labels.get(("t", c, s, k)) for k in range(r_of_arc[arc])]
-            copies[arc] = None if None in ends else tuple(ends)
+            r = r_of_arc[arc]
+            copies[arc] = None if r and info.comp_of_arc[arc] not in gridded \
+                else tuple(slot_label[enter(c, s, k)] for k in range(r))
     return cabled
 
 
@@ -727,53 +720,81 @@ def plan_sweep(pd: PDCode,
     stays open to the end.  Raises BudgetError when the peak width
     exceeds ``max_width``.
     """
-    analyze(pd)
+    info = analyze(pd)
     n = len(pd.crossings)
     if order is not None:
         order = list(order)
         if sorted(order) != list(range(n)):
             raise PDError(f"order must be a permutation of 0..{n - 1}")
     cut = frozenset(cut)
-    # an end is its arc label, or (label, crossing, position) on a cut
+    # an end is its arc label, or -1 - (4*crossing + position) on a cut
     # arc, so that the two ends of a cut arc never meet
-    ends = [tuple((a, ci, pos) if a in cut else a
-                  for pos, a in enumerate(cr))
-            for ci, cr in enumerate(pd.crossings)] if cut else pd.crossings
+    ends = list(pd.crossings)
+    for a in cut:
+        for ci, pos in info.arc_ports.get(a, ()):
+            es = list(ends[ci])
+            es[pos] = -1 - (4 * ci + pos)
+            ends[ci] = tuple(es)
     # inserting a crossing toggles the open set by the ends that occur
     # once in it; a kink arc occurs twice and closes at once
-    once = [frozenset(e for e in es if es.count(e) == 1) for es in ends]
-    remaining = list(range(n))
+    once = []
+    for es in ends:
+        o = set(es)
+        if len(o) < 4:
+            o = {e for e in o if es.count(e) == 1}
+        once.append(o)
+    # score[c] = |once[c]| - 2 |once[c] & open| is how much inserting c
+    # widens the open set; an end that opens or closes moves the scores
+    # of the (at most two) crossings in where[end].  An inserted crossing
+    # scores far above any other (a score moves by at most 8 from its
+    # start), and index() ties to the lowest.
+    score = [len(o) for o in once]
+    where: dict = {}
+    for c, o in enumerate(once):
+        for e in o:
+            where.setdefault(e, []).append(c)
     chosen = []
     program = []
     open_ends: list = []            # the end at each open index
+    live: set = set()
     peak = 0
     for t in range(n):
-        if order is None:
-            # the open set toggled by once[c] has |open| + |once[c]|
-            # - 2 |once[c] & open| ends
-            live = set(open_ends)
-            ci = min(remaining, key=lambda c: (
-                len(once[c]) - 2 * len(once[c] & live), c))
-            remaining.remove(ci)
-        else:
-            ci = order[t]
+        ci = score.index(min(score)) if order is None else order[t]
+        score[ci] = 1 << 20
         chosen.append(ci)
-        first_at: dict = {}
+        es, oc = ends[ci], once[ci]
+        w0 = len(open_ends)
+        # closures in the order of the crossing's positions; the open
+        # ends that survive keep their order, and the new ones follow
         closures = []
-        for idx, end in enumerate(open_ends + list(ends[ci])):
-            if end in first_at:
-                closures.append((first_at.pop(end), idx))
-            else:
-                first_at[end] = idx
-        program.append((len(open_ends), tuple(closures)))
-        open_ends = list(first_at)
+        closed = []
+        fresh = []
+        for p, e in enumerate(es):
+            if e in live:
+                closed.append(open_ends.index(e))
+                closures.append((closed[-1], w0 + p))
+            elif e in oc:
+                fresh.append(e)
+            elif es.index(e) < p:       # a kink arc's second end
+                closures.append((w0 + es.index(e), w0 + p))
+        for i in sorted(closed, reverse=True):
+            e = open_ends.pop(i)
+            live.remove(e)
+            for c in where[e]:
+                score[c] += 2
+        for e in fresh:
+            live.add(e)
+            for c in where[e]:
+                score[c] -= 2
+        open_ends += fresh
+        program.append((w0, tuple(closures)))
         peak = max(peak, len(open_ends))
-    if len(open_ends) != 2 * len(cut) or not all(
-            isinstance(e, tuple) for e in open_ends):
+    if len(open_ends) != 2 * len(cut) or any(e > 0 for e in open_ends):
         raise InternalError(f"sweep left open ends: {open_ends}")
     halves: dict = {}
-    for i, (arc, _, _) in enumerate(open_ends):
-        halves.setdefault(arc, []).append(i)
+    for i, e in enumerate(open_ends):
+        x = -1 - e
+        halves.setdefault(pd.crossings[x >> 2][x & 3], []).append(i)
     identity = bytearray(len(open_ends))
     for i, j in halves.values():
         identity[i], identity[j] = j, i

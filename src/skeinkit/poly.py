@@ -337,12 +337,6 @@ class QPresentation:
         """q-exponent of the first coefficient, in halves of q."""
         return -self.quarter_shift // 2
 
-    def coeff_at_halfq(self, h: int) -> int:
-        i = h - self.min_halfq
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
-
     @property
     def is_q_integral(self) -> bool:
         """True when all terms land on integer powers of q."""
@@ -357,11 +351,6 @@ class QPresentation:
         if not self.is_q_integral:
             raise ExactnessError("series has genuine half-integer q-powers")
         return self.min_halfq // 2, list(self.coeffs[0::2])
-
-    def as_poly(self) -> LaurentPoly:
-        terms = [(self.quarter_shift - 2 * i, self.sign * c)
-                 for i, c in enumerate(self.coeffs)]
-        return LaurentPoly(tuple(terms))
 
 
 def to_q(p: LaurentPoly) -> QPresentation:

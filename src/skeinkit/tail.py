@@ -26,7 +26,7 @@ import dataclasses
 import time
 
 from .diagram import MAX_WIDTH, PDCode, mirror
-from .errors import BudgetError, StabilizationError
+from .errors import BudgetError, InternalError, StabilizationError
 from .jones import reduced_colored_top
 from .poly import LaurentPoly, to_q
 
@@ -180,13 +180,20 @@ class StabilizationReport:
 def _compare(window_pd: PDCode, prev, cur, n: int, max_width: int):
     """dot_eq of colors n and n+1, each a (series, held) pair from
     :func:`_series`, both widened until they hold the first difference
-    or are whole; and color n+1 as widened."""
+    or are whole; and color n+1 as widened.  Each widening must hold
+    more terms than the last, else InternalError."""
+    last = 0
     while True:
         (p1, h1), (p2, h2) = prev, cur
         ok, mismatch = dot_eq(p1, p2, n)
         held = min((h for h in (h1, h2) if h is not None), default=None)
         if held is None:
             return ok, mismatch, cur
+        if held <= last:
+            raise InternalError(
+                f"widening colors {n} and {n + 1} holds {held} terms, "
+                f"not more than the {last} before")
+        last = held
         step = min(normalize(p1).step_halves, normalize(p2).step_halves)
         if mismatch is not None and step * mismatch < 2 * held:
             return ok, mismatch, cur

@@ -3,14 +3,17 @@
 Everything here is computed by a different route than the library code
 under test: a 2x2 transfer matrix for rational-tangle brackets, a braid
 walker for PD codes, a fresh breadth-first search for word lengths, and
-long division from the top for windowed quotients.  ``PLANAR`` draws the
-generated planar diagrams that several modules sweep.
+long division from the top for windowed quotients, and the earlier
+builders of sweep plans and cables (a greedy loop that rescores every
+crossing at each step, and a cable wired through a junction graph).
+``PLANAR`` draws the generated planar diagrams that several modules
+sweep.
 """
 
 from hypothesis import strategies as st
 
 from skeinkit.construct import rational_knot, twist_closure, with_kink
-from skeinkit.diagram import PDCode, analyze, format_pd, parse_pd
+from skeinkit.diagram import PDCode, SweepPlan, analyze, format_pd, parse_pd
 from skeinkit.poly import LaurentPoly, ONE, monomial
 from skeinkit.quantum import delta
 from skeinkit.tl import compose, enumerate_matchings, hook
@@ -254,3 +257,187 @@ SIX_TWO_ROWS = {
 
 SIX_TWO_TAIL_5 = [1, -2, 0, 2, -1]
 SIX_TWO_HEAD_3 = [1, -1, -1]
+
+
+def greedy_plan(pd: PDCode, order=None, cut=()) -> SweepPlan:
+    """The sweep plan of ``diagram.plan_sweep`` with no width budget,
+    chosen by rescoring every remaining crossing at each step and
+    compiled by scanning all open ends and the new crossing's ends."""
+    n = len(pd.crossings)
+    cut = frozenset(cut)
+    ends = [tuple((a, ci, pos) if a in cut else a
+                  for pos, a in enumerate(cr))
+            for ci, cr in enumerate(pd.crossings)] if cut else pd.crossings
+    once = [frozenset(e for e in es if es.count(e) == 1) for es in ends]
+    remaining = list(range(n))
+    chosen, program = [], []
+    open_ends: list = []
+    peak = 0
+    for t in range(n):
+        if order is None:
+            live = set(open_ends)
+            ci = min(remaining, key=lambda c: (
+                len(once[c]) - 2 * len(once[c] & live), c))
+            remaining.remove(ci)
+        else:
+            ci = order[t]
+        chosen.append(ci)
+        first_at: dict = {}
+        closures = []
+        for idx, end in enumerate(open_ends + list(ends[ci])):
+            if end in first_at:
+                closures.append((first_at.pop(end), idx))
+            else:
+                first_at[end] = idx
+        program.append((len(open_ends), tuple(closures)))
+        open_ends = list(first_at)
+        peak = max(peak, len(open_ends))
+    halves: dict = {}
+    for i, (arc, _, _) in enumerate(open_ends):
+        halves.setdefault(arc, []).append(i)
+    identity = bytearray(len(open_ends))
+    for i, j in halves.values():
+        identity[i], identity[j] = j, i
+    return SweepPlan(order=tuple(chosen), program=tuple(program),
+                     max_width=peak, identity=bytes(identity))
+
+
+def emit_labelled(num_nodes, links, extra_circles):
+    """``diagram.emit_pd`` by contracting the junction graph of ``links``,
+    also returning {junction: label of its arc} for every junction that
+    lies on an arc (not on a crossing-free circle)."""
+    adj: dict = {}
+    for t, u in links:
+        adj.setdefault(t, []).append(u)
+        adj.setdefault(u, []).append(t)
+
+    def is_port(t):
+        return isinstance(t, tuple) and len(t) == 3 and t[0] == "p"
+
+    for t, nbrs in adj.items():
+        assert len(nbrs) == (1 if is_port(t) else 2), t
+    glue: dict = {}
+    visited: set = set()
+    chain: dict = {}            # junction -> a port at an end of its arc
+    circles = extra_circles
+    for t in adj:
+        if not is_port(t) or t in visited:
+            continue
+        visited.add(t)
+        prev, cur = t, adj[t][0]
+        while not is_port(cur):
+            nxts = [x for x in adj[cur] if x != prev]
+            if not nxts:  # a junction linked twice to the same neighbor
+                nxts = [adj[cur][1]] if adj[cur][0] == prev else [adj[cur][0]]
+            visited.add(cur)
+            chain[cur] = t
+            prev, cur = cur, nxts[0]
+        visited.add(cur)
+        glue[t] = cur
+        glue[cur] = t
+    seen: set = set()
+    for t in adj:
+        if is_port(t) or t in visited or t in seen:
+            continue
+        seen.add(t)
+        prev, cur = t, adj[t][0]
+        while cur != t:
+            seen.add(cur)
+            nxts = [x for x in adj[cur] if x != prev]
+            prev, cur = cur, (nxts[0] if nxts else adj[cur][0])
+        circles += 1
+    slot_label: dict = {}
+    under_entry: dict = {}
+    entered: set = set()
+    label = 0
+    for start in sorted(glue, key=lambda p: (p[1], p[2])):
+        if start in entered:
+            continue
+        passages = []
+        cur = start
+        while True:
+            passages.append(cur)
+            entered.add(cur)
+            _, i, s = cur
+            entered.add(("p", i, s ^ 2))
+            cur = glue[("p", i, s ^ 2)]
+            if cur == start:
+                break
+        size = len(passages)
+        for k, port in enumerate(passages):
+            _, i, s = port
+            slot_label[port] = label + (k if k else size)
+            slot_label[("p", i, s ^ 2)] = label + k + 1
+            if s in (0, 2):
+                under_entry[i] = s
+        label += size
+    crossings = [tuple(slot_label[("p", i, (under_entry[i] + k) % 4)]
+                       for k in range(4)) for i in range(num_nodes)]
+    pd = PDCode(tuple(crossings), circles)
+    return pd, {j: slot_label[t] for j, t in chain.items()}
+
+
+def cable_links(pd: PDCode, mults):
+    """(nodes, links, extra circles) wiring the cable of ``pd`` with
+    per-component multiplicities ``mults``: an r x s grid of nodes per
+    crossing of two kept strands, junctions ("t", crossing, slot, copy)
+    at its four sides, and copy k of an arc meeting copy r-1-k."""
+    info = analyze(pd)
+    r_of_arc = {a: mults[k] for a, k in info.comp_of_arc.items()}
+    links: list = []
+    nodes = 0
+    node_id: dict = {}
+
+    def port(ci, i, j, s):
+        return ("p", node_id[ci, i, j], s)
+
+    for ci, cr in enumerate(pd.crossings):
+        ru, ro = r_of_arc[cr[0]], r_of_arc[cr[1]]
+        if ru and ro:
+            for i in range(ru):
+                for j in range(ro):
+                    node_id[ci, i, j] = nodes
+                    nodes += 1
+            for i in range(ru):
+                for j in range(ro):
+                    if j == 0:
+                        links.append((port(ci, i, j, 0), ("t", ci, 0, i)))
+                    else:
+                        links.append((port(ci, i, j, 0),
+                                      port(ci, i, j - 1, 2)))
+                    if j == ro - 1:
+                        links.append((port(ci, i, j, 2),
+                                      ("t", ci, 2, ru - 1 - i)))
+                    if i == ru - 1:
+                        links.append((port(ci, i, j, 1), ("t", ci, 1, j)))
+                    else:
+                        links.append((port(ci, i, j, 1),
+                                      port(ci, i + 1, j, 3)))
+                    if i == 0:
+                        links.append((port(ci, i, j, 3),
+                                      ("t", ci, 3, ro - 1 - j)))
+        elif ro:    # under strand deleted: over bundle passes straight
+            for k in range(ro):
+                links.append((("t", ci, 1, k), ("t", ci, 3, ro - 1 - k)))
+        elif ru:    # over strand deleted
+            for k in range(ru):
+                links.append((("t", ci, 0, k), ("t", ci, 2, ru - 1 - k)))
+    for arc, ((c1, s1), (c2, s2)) in info.arc_ports.items():
+        r = r_of_arc[arc]
+        for k in range(r):
+            links.append((("t", c1, s1, k), ("t", c2, s2, r - 1 - k)))
+    extra = sum(mults[len(info.components):])
+    return nodes, links, extra
+
+
+def linked_cable(pd: PDCode, mults):
+    """(cable, copies) as ``diagram.cable_multi(pd, mults, copies)``
+    builds them, through the junction graph of :func:`cable_links`."""
+    info = analyze(pd)
+    cabled, labels = emit_labelled(*cable_links(pd, mults))
+    copies = {}
+    for arc, ((c, s), _) in info.arc_ports.items():
+        ends = [labels.get(("t", c, s, k))
+                for k in range(mults[info.comp_of_arc[arc]])]
+        copies[arc] = None if None in ends else tuple(ends)
+    return cabled, copies

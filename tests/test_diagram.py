@@ -1,12 +1,19 @@
 """PD parsing, orientation/writhe analysis, smoothing states, cables."""
 
-import pytest
-from hypothesis import given, strategies as st
+import itertools
+import math
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import (
+    PLANAR, braid_closure, cable_links, emit_labelled, greedy_plan,
+    linked_cable,
+)
 from skeinkit.diagram import (
     PDCode, adequacy, all_a, all_b, analyze, apply_state, cable,
-    catalog_lookup, catalog_names, format_pd, genus, mirror, parse_pd,
-    plan_sweep, state_graph, writhe,
+    cable_multi, catalog_lookup, catalog_names, emit_pd, format_pd, genus,
+    mirror, parse_pd, plan_sweep, state_graph, writhe,
 )
 from skeinkit.errors import BudgetError, PDError
 
@@ -168,3 +175,80 @@ def test_genus_of_planar_and_virtual_codes():
     assert genus(parse_pd("X[1,1,2,2] O")) == 0
     # the virtual trefoil: two crossings with no planar drawing
     assert genus(PDCode(((1, 3, 2, 4), (2, 4, 3, 1)))) == 1
+
+
+# --- the planner and the cable builder against their earlier forms -------
+
+VIRTUAL_TREFOIL = PDCode(((1, 3, 2, 4), (2, 4, 3, 1)))
+
+
+def _same_plans(pd, cut=()):
+    """The greedy plan and the plan of the reversed order of pd, cut at
+    ``cut``, equal those of the rescoring oracle."""
+    plan = plan_sweep(pd, max_width=math.inf, cut=cut)
+    assert plan == greedy_plan(pd, cut=cut), (format_pd(pd), cut)
+    back = plan.order[::-1]
+    assert plan_sweep(pd, order=back, max_width=math.inf, cut=cut) \
+        == greedy_plan(pd, order=back, cut=cut), (format_pd(pd), cut)
+
+
+@settings(max_examples=40)
+@given(PLANAR)
+def test_plans_match_rescoring_greedy_on_generated(pd):
+    _same_plans(pd)
+    for arc in analyze(pd).arc_ports:
+        _same_plans(pd, [arc])
+    k = analyze(pd).total_components
+    for n in (2, 3):
+        copies = {}
+        cabled = cable_multi(pd, [n] * k, copies)
+        _same_plans(cabled)
+        for arc, cut in copies.items():
+            if cut is not None:
+                _same_plans(cabled, cut)
+
+
+def _same_cables(pd, mults):
+    """cable_multi and its copies equal the junction-graph cable; the
+    all-ones cable is pd itself."""
+    copies = {}
+    cabled = cable_multi(pd, mults, copies)
+    if all(m == 1 for m in mults):
+        assert cabled is pd
+        assert copies == {a: (a,) for a in analyze(pd).arc_ports}
+        return
+    assert (cabled, copies) == linked_cable(pd, mults), (format_pd(pd), mults)
+    assert emit_pd(*cable_links(pd, mults)) == cabled
+
+
+@settings(max_examples=100)
+@given(PLANAR, st.data())
+def test_cables_match_junction_graph_on_generated(pd, data):
+    k = analyze(pd).total_components
+    _same_cables(pd, data.draw(st.lists(st.integers(0, 3), min_size=k,
+                                        max_size=k)))
+
+
+@pytest.mark.parametrize("pd", [
+    VIRTUAL_TREFOIL,
+    parse_pd("X[4,1,3,2] X[2,3,1,4]"),
+    parse_pd("X[1,1,2,2] O"),
+    parse_pd(TREFOIL + " X[16,14,11,13] X[14,12,15,11] X[12,16,13,15]"),
+    braid_closure(4, [1, 1, -2, -2]),
+    catalog_lookup("3_1_badequate"),
+    mirror(catalog_lookup("6_2")),
+], ids=["virtual_trefoil", "hopf_link", "kink_and_circle", "split_trefoils",
+        "braid_link_and_circle", "3_1_badequate", "6_2_mirror"])
+def test_cables_match_junction_graph_at_every_multiplicity(pd):
+    k = analyze(pd).total_components
+    for mults in itertools.product(range(4), repeat=k):
+        _same_cables(pd, list(mults))
+    _same_plans(pd)
+
+
+def test_emit_pd_matches_junction_graph_on_catalog_cables():
+    for name in catalog_names():
+        pd = catalog_lookup(name)
+        if pd.crossings:
+            links = cable_links(pd, [2] * analyze(pd).total_components)
+            assert emit_pd(*links) == emit_labelled(*links)[0], name

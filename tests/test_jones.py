@@ -159,7 +159,15 @@ def test_colored_bracket_of_unknot_is_loop_value():
 
 
 def test_colored_bracket_color_one_is_bracket():
-    pd = catalog_lookup("4_1")
+    # 4_1 and the virtual trefoil
+    for pd in (catalog_lookup("4_1"), PDCode(((1, 3, 2, 4), (2, 4, 3, 1)))):
+        assert colored_bracket(pd, 1) == bracket(pd)
+
+
+@settings(max_examples=40)
+@given(PLANAR)
+def test_colored_bracket_color_one_is_bracket_on_generated(pd):
+    # the cable with every multiplicity 1 is the diagram itself
     assert colored_bracket(pd, 1) == bracket(pd)
 
 

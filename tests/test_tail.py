@@ -1,6 +1,7 @@
 """Series normalization, order-n agreement, and stable coefficients."""
 
 import functools
+import signal
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,13 +10,13 @@ from oracles import (
     SIX_TWO_HEAD_3, SIX_TWO_ROWS, SIX_TWO_TAIL_5, TORUS_3_4_WORD,
     braid_closure,
 )
-from skeinkit import jones
+from skeinkit import jones, tail
 from skeinkit.construct import rational_knot
 from skeinkit.diagram import (
     adequacy, catalog_lookup, catalog_names, format_pd, genus, mirror,
     parse_pd, writhe,
 )
-from skeinkit.errors import StabilizationError
+from skeinkit.errors import InternalError, StabilizationError
 from skeinkit.jones import colored_bracket, reduced_colored
 from skeinkit.poly import ONE, ZERO, LaurentPoly, exact_divide, monomial
 from skeinkit.quantum import delta, gamma
@@ -297,3 +298,23 @@ def test_window_never_enters_the_colored_cache():
     # the same value, computed afresh
     frame = gamma(4, 4, 0) ** (-writhe(pd))
     assert got == exact_divide(frame * colored_bracket(pd, 4), delta(4))
+
+
+def test_widening_that_does_not_grow_raises(monkeypatch):
+    # every color answers with the same 2-term window, so the pair never
+    # settles and each widening would hold no more than the last
+    p = qpoly({0: 1, 1: -1})
+    monkeypatch.setattr(tail, "reduced_colored_top",
+                        lambda *args, **kwargs: (p, p.max_degree() - 4))
+
+    def hang(signum, frame):
+        raise TimeoutError("the widening did not stop")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(InternalError, match="colors 2 and 3 holds 2"):
+            stabilization_check(catalog_lookup("3_1"), 3)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
