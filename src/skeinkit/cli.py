@@ -28,19 +28,18 @@ arguments, which this module passes down.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import signal
 import sys
 
-from . import diagram, jones, tail
+from . import diagram, jones
 from .errors import (BudgetError, InternalError, SkeinError,
                      StabilizationError)
 from .poly import LaurentPoly, to_q
 
 
 # ---------------------------------------------------------------------------
-# polynomial serialization (the JSON schema, and its inverse for round-trips)
+# polynomial serialization (the JSON schema)
 
 def a_polynomial_json(p: LaurentPoly) -> dict:
     """Dense A-form: coefficients[i] belongs to A^(min_exponent + i)."""
@@ -60,20 +59,6 @@ def q_series_json(p: LaurentPoly) -> dict:
     q = to_q(p)
     return {"variable": "q", "sign": q.sign,
             "min_exponent": q.min_halfq, "coefficients": list(q.coeffs)}
-
-
-def a_polynomial_from_json(blob: dict) -> LaurentPoly:
-    lo = blob["min_exponent"]
-    return LaurentPoly.from_dict(
-        {lo + i: c for i, c in enumerate(blob["coefficients"])})
-
-
-def q_series_from_json(blob: dict) -> LaurentPoly:
-    """Rebuild the A-polynomial from the q schema (q = A^-4)."""
-    lo, sign = blob["min_exponent"], blob["sign"]
-    return LaurentPoly.from_dict(
-        {-2 * (lo + i): sign * c
-         for i, c in enumerate(blob["coefficients"])})
 
 
 def _q_text(p: LaurentPoly) -> str:
@@ -169,6 +154,7 @@ class _Timeout:
 
 def _emit(args, text_lines, payload):
     if args.format == "json":
+        import json     # imported here: text output, the default, needs none
         print(json.dumps(payload, indent=2))
     else:
         for line in text_lines:
@@ -226,6 +212,7 @@ def _cmd_adequacy(args) -> int:
 def _cmd_tail(args) -> int:
     if args.terms < 1:
         raise SkeinError("--terms must be a positive integer")
+    from . import tail  # only tail and verify-stability pay its import
     pd, label = _load_pd(args.source)
     with _Timeout(args.time_limit):
         coeffs = tail.tail_extract(pd, args.terms, side=args.side,
@@ -239,6 +226,7 @@ def _cmd_tail(args) -> int:
 def _cmd_verify_stability(args) -> int:
     if args.max < 3:
         raise SkeinError("--max must be at least 3")
+    from . import tail
     pd, label = _load_pd(args.source)
     with _Timeout(args.time_limit):
         rep = tail.stabilization_check(pd, args.max,

@@ -27,11 +27,10 @@ position ``d``.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import re
 from importlib import resources
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import BudgetError, InternalError, PDError
 
@@ -47,24 +46,47 @@ def _as_crossing(item) -> Crossing:
     return t  # type: ignore[return-value]
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
 class PDCode:
     """An immutable planar-diagram code.
 
     ``crossings`` may be passed as any iterable of 4-sequences; it is
     normalized to a tuple of int 4-tuples.  ``extra_circles`` counts
-    crossing-free unknot components drawn beside the rest.
+    crossing-free unknot components drawn beside the rest.  Codes are
+    equal only to PDCode values with the same fields.
     """
 
-    crossings: tuple[Crossing, ...] = ()
-    extra_circles: int = 0
+    __slots__ = ("crossings", "extra_circles")
+    crossings: tuple[Crossing, ...]
+    extra_circles: int
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "crossings",
-            tuple(_as_crossing(c) for c in self.crossings))
-        if self.extra_circles < 0:
+    def __init__(self, crossings: Iterable[Sequence[int]] = (),
+                 extra_circles: int = 0):
+        object.__setattr__(self, "crossings",
+                           tuple(_as_crossing(c) for c in crossings))
+        if extra_circles < 0:
             raise PDError("extra_circles must be >= 0")
+        object.__setattr__(self, "extra_circles", extra_circles)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return PDCode, (self.crossings, self.extra_circles)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.crossings == other.crossings
+                    and self.extra_circles == other.extra_circles)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.crossings, self.extra_circles))
+
+    def __repr__(self) -> str:
+        return (f"PDCode(crossings={self.crossings!r}, "
+                f"extra_circles={self.extra_circles!r})")
 
     def __len__(self) -> int:
         return len(self.crossings)
@@ -113,8 +135,7 @@ def format_pd(pd: PDCode) -> str:
     return " ".join(toks)
 
 
-@dataclasses.dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """One oriented link component.
 
     ``arcs[i]`` enters the crossing of ``passages[i]``; the passage exits
@@ -126,8 +147,7 @@ class Component:
     passages: tuple[tuple[int, int, int], ...]
 
 
-@dataclasses.dataclass(frozen=True)
-class DiagramInfo:
+class DiagramInfo(NamedTuple):
     """Validated structural data for a PD code."""
 
     pd: PDCode
@@ -363,8 +383,7 @@ def _check_state(pd: PDCode, state: Sequence[str]) -> str:
     return s
 
 
-@dataclasses.dataclass(frozen=True)
-class StateCircles:
+class StateCircles(NamedTuple):
     """Circles of a smoothed diagram.
 
     ``crossing_strands`` gives, per crossing, the circle ids of the two
@@ -423,8 +442,7 @@ def apply_state(pd: PDCode, state: Sequence[str]) -> StateCircles:
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class StateGraph:
+class StateGraph(NamedTuple):
     """Touch-graph of a smoothing state: one vertex per circle, one edge
     per crossing connecting the two circles its smoothing strands lie on."""
 
@@ -441,8 +459,7 @@ def state_graph(pd: PDCode, state: Sequence[str]) -> StateGraph:
     return StateGraph(circles=sc.count, edges=sc.crossing_strands)
 
 
-@dataclasses.dataclass(frozen=True)
-class AdequacyReport:
+class AdequacyReport(NamedTuple):
     a_adequate: bool
     b_adequate: bool
     a_circles: int
@@ -685,8 +702,7 @@ def cable(pd: PDCode, r: int) -> PDCode:
 MAX_WIDTH = 40
 
 
-@dataclasses.dataclass(frozen=True)
-class SweepPlan:
+class SweepPlan(NamedTuple):
     """A crossing order and the sweep kernel's program for it.
 
     ``program[t] = (width_in, closures)`` inserts crossing ``order[t]``:
@@ -717,8 +733,9 @@ def plan_sweep(pd: PDCode,
     crossing that minimizes the resulting number of open strand-ends,
     the lowest index on a tie.  The arcs labelled in ``cut`` are cut
     open: each of their two ends opens when its crossing is inserted and
-    stays open to the end.  Raises BudgetError when the peak width
-    exceeds ``max_width``.
+    stays open to the end.  Raises PDError when a label in ``cut`` is
+    not an arc of ``pd``, and BudgetError when the peak width exceeds
+    ``max_width``.
     """
     info = analyze(pd)
     n = len(pd.crossings)
@@ -731,7 +748,9 @@ def plan_sweep(pd: PDCode,
     # arc, so that the two ends of a cut arc never meet
     ends = list(pd.crossings)
     for a in cut:
-        for ci, pos in info.arc_ports.get(a, ()):
+        if a not in info.arc_ports:
+            raise PDError(f"cannot cut {a!r}: not an arc label of the diagram")
+        for ci, pos in info.arc_ports[a]:
             es = list(ends[ci])
             es[pos] = -1 - (4 * ci + pos)
             ends[ci] = tuple(es)

@@ -18,8 +18,7 @@ so that with q = A^-4 the steps of A^-2 are half-integer steps in q.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from .errors import DegreeError, ExactnessError
 
@@ -34,19 +33,38 @@ def _normalized(items: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]
     return tuple(sorted((e, c) for e, c in acc.items() if c))
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+def _frozen(self, name, value=None):
+    """__setattr__ and __delattr__ of the immutable value classes."""
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class LaurentPoly:
     """Sparse Laurent polynomial over the integers.
 
     ``terms`` is a tuple of (exponent, coefficient) pairs, strictly
     increasing in exponent, with no zero coefficients.  Any iterable of
-    pairs may be passed in; it is normalized on construction.
+    pairs may be passed in; it is normalized on construction.  Values are
+    immutable, equal only to LaurentPoly values with the same terms.
     """
 
-    terms: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("terms",)
+    terms: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", _normalized(self.terms))
+    def __init__(self, terms: Iterable[tuple[int, int]] = ()):
+        object.__setattr__(self, "terms", _normalized(terms))
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __reduce__(self):
+        return LaurentPoly, (self.terms,)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.terms == other.terms
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
 
     # -- constructors -------------------------------------------------
 
@@ -236,20 +254,27 @@ def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(tuple(out.items()))
 
 
-@dataclasses.dataclass(frozen=True, slots=True, eq=False)
 class RationalFn:
     """Unreduced quotient num/den of Laurent polynomials (den != 0).
 
     No common factors are cancelled, ever; equality compares
-    num1*den2 == num2*den1.
+    num1*den2 == num2*den1, so values are unhashable.
     """
 
+    __slots__ = ("num", "den")
     num: LaurentPoly
-    den: LaurentPoly = ONE
+    den: LaurentPoly
 
-    def __post_init__(self):
-        if self.den.is_zero:
+    def __init__(self, num: LaurentPoly, den: LaurentPoly = ONE):
+        if den.is_zero:
             raise ExactnessError("zero denominator")
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __reduce__(self):
+        return RationalFn, (self.num, self.den)
 
     @classmethod
     def of(cls, x: Union[int, LaurentPoly, "RationalFn"]) -> "RationalFn":
@@ -316,8 +341,7 @@ class RationalFn:
         return f"<RationalFn {self}>"
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class QPresentation:
+class QPresentation(NamedTuple):
     """A Laurent polynomial on even A-powers, rewritten around q = A^-4.
 
     value = sign * A^quarter_shift * sum_i coeffs[i] * A^(-2i)

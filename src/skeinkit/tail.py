@@ -22,8 +22,8 @@ depend on the window.
 
 from __future__ import annotations
 
-import dataclasses
 import time
+from typing import NamedTuple
 
 from .diagram import MAX_WIDTH, PDCode, mirror
 from .errors import BudgetError, InternalError, StabilizationError
@@ -31,8 +31,7 @@ from .jones import reduced_colored_top
 from .poly import LaurentPoly, to_q
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class QSeries:
+class QSeries(NamedTuple):
     """A normalized q-series: sign * q^(shift/2) * sum coeffs[i] q^(step*i/2).
 
     ``coeffs[0]`` is positive and ``coeffs[-1]`` nonzero; ``step_halves``
@@ -145,8 +144,7 @@ def tail_extract(d: PDCode, k: int, side: str = "tail",
     return coeffs
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class StabilizationRecord:
+class StabilizationRecord(NamedTuple):
     """One comparison J_N vs J_{N+1}."""
 
     color: int
@@ -160,8 +158,7 @@ class StabilizationRecord:
                 "seconds": round(self.seconds, 3)}
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class StabilizationReport:
+class StabilizationReport(NamedTuple):
     """Verdicts of J_N ≐_N J_{N+1} for N = 2..Nmax-1."""
 
     records: tuple[StabilizationRecord, ...]

@@ -6,6 +6,7 @@ walker for PD codes, a fresh breadth-first search for word lengths, and
 long division from the top for windowed quotients, and the earlier
 builders of sweep plans and cables (a greedy loop that rescores every
 crossing at each step, and a cable wired through a junction graph).
+The CLI's JSON polynomials are read back by the inverses of its schema.
 ``PLANAR`` draws the generated planar diagrams that several modules
 sweep.
 """
@@ -215,6 +216,21 @@ def divide_from_top(num: LaurentPoly, den: LaurentPoly,
             else:
                 rem.pop(de + e, None)
     return LaurentPoly.from_dict(out)
+
+
+def a_polynomial_from_json(blob: dict) -> LaurentPoly:
+    """Rebuild the A-polynomial from the CLI's dense A schema."""
+    lo = blob["min_exponent"]
+    return LaurentPoly.from_dict(
+        {lo + i: c for i, c in enumerate(blob["coefficients"])})
+
+
+def q_series_from_json(blob: dict) -> LaurentPoly:
+    """Rebuild the A-polynomial from the q schema (q = A^-4)."""
+    lo, sign = blob["min_exponent"], blob["sign"]
+    return LaurentPoly.from_dict(
+        {-2 * (lo + i): sign * c
+         for i, c in enumerate(blob["coefficients"])})
 
 
 # The (3,4) torus braid: one-sided diagram whose far coefficient side

@@ -13,8 +13,10 @@ import subprocess
 import sys
 import time
 
-from oracles import SIX_TWO_ROWS, SIX_TWO_TAIL_5, bfs_word_lengths
-from skeinkit.cli import main, q_series_from_json
+from oracles import (
+    SIX_TWO_ROWS, SIX_TWO_TAIL_5, bfs_word_lengths, q_series_from_json,
+)
+from skeinkit.cli import main
 from skeinkit.construct import twist_closure
 from skeinkit.diagram import (
     adequacy, cable, catalog_lookup, catalog_names, mirror,

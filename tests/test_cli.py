@@ -8,11 +8,10 @@ import time
 
 import pytest
 
-from oracles import TORUS_3_4_WORD, braid_closure
-from skeinkit.cli import (
-    a_polynomial_from_json, a_polynomial_json, main, q_series_from_json,
-    q_series_json,
+from oracles import (
+    TORUS_3_4_WORD, a_polynomial_from_json, braid_closure, q_series_from_json,
 )
+from skeinkit.cli import a_polynomial_json, main, q_series_json
 from skeinkit.diagram import cable, catalog_lookup, catalog_names, format_pd
 from skeinkit.errors import BudgetError
 from skeinkit.jones import jones_polynomial, reduced_colored
@@ -206,6 +205,25 @@ def _cli(*argv):
     earlier test answers at once."""
     return subprocess.run([sys.executable, "-m", "skeinkit.cli", *argv],
                           capture_output=True, text=True, timeout=60)
+
+
+def test_import_loads_only_what_every_subcommand_needs():
+    """Importing the CLI adds neither dataclasses (nor the inspect it
+    pulls in) nor what only some subcommands use: json for --format json,
+    tail for tail and verify-stability, tl and construct for none."""
+    import skeinkit
+    src = os.path.dirname(os.path.dirname(skeinkit.__file__))
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import skeinkit.cli\n"
+              "print(*sorted(set(sys.modules) - before))\n")
+    proc = subprocess.run([sys.executable, "-c", script], check=True,
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    loaded = set(proc.stdout.split())
+    assert {"skeinkit.cli", "skeinkit.diagram", "skeinkit.jones"} <= loaded
+    assert not loaded & {"dataclasses", "inspect", "json", "skeinkit.tail",
+                         "skeinkit.tl", "skeinkit.construct"}
 
 
 def test_time_limit_budget():

@@ -148,6 +148,15 @@ def test_plan_sweep_width_and_budget():
         plan_sweep(pd, max_width=plan.max_width - 1)
 
 
+def test_plan_sweep_rejects_a_cut_label_that_is_not_an_arc():
+    pd = catalog_lookup("3_1")
+    with pytest.raises(PDError, match="cannot cut 99"):
+        plan_sweep(pd, cut=[99])
+    with pytest.raises(PDError, match="cannot cut 0"):
+        plan_sweep(pd, cut=[1, 0])
+    assert plan_sweep(pd, cut=[6]).identity
+
+
 def test_plan_sweep_respects_explicit_order():
     pd = parse_pd(TREFOIL)
     plan = plan_sweep(pd, order=[2, 0, 1])

@@ -20,16 +20,21 @@ this prints each end-to-end metric's median and quartiles per side, the
 change of the medians, the parent's interquartile range and the pairs
 the change won.  It writes all of it, with the run metadata and the
 medians of any traced per-layer records, to ``BENCH_<label>.json`` in
-the current directory.
+the current directory.  It also runs ``python -X importtime -c "import
+skeinkit.cli"`` IMPORT_RUNS times per side, alternating, and records the
+median cumulative milliseconds of each module that the import loads.
 """
 
 import argparse
 import json
+import os
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+IMPORT_RUNS = 11
 
 
 def _records(checkout, trace):
@@ -90,6 +95,44 @@ def layers(checkout):
                 for name in rs[0]} for w, rs in sorted(runs.items())}
 
 
+def _import_sample(checkout):
+    """{module: cumulative ms} of one ``import skeinkit.cli``, from the
+    ``skeinkit`` package on (what the interpreter's start-up imports
+    before it is left out)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(checkout, "src").resolve())}
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import skeinkit.cli"],
+        env=env, capture_output=True, text=True, check=True)
+    out = {}
+    for line in proc.stderr.splitlines():
+        if not line.startswith("import time:") or "[us]" in line:
+            continue
+        _, cumulative, name = line[len("import time:"):].split("|")
+        name = name.strip()
+        if name == "skeinkit" or out:
+            out[name] = int(cumulative) / 1000
+    return out
+
+
+def importtime(parent, change, runs):
+    """Per side: the median cumulative ms of each module (modules loaded
+    in every run) and of the whole import."""
+    samples = {parent: [], change: []}
+    for i in range(runs):
+        for side in (parent, change) if i % 2 == 0 else (change, parent):
+            samples[side].append(_import_sample(side))
+    out = {}
+    for side, name in ((parent, "parent"), (change, "change")):
+        got = samples[side]
+        modules = {m: statistics.median(r[m] for r in got)
+                   for m in got[0] if all(m in r for r in got)}
+        total = statistics.median(r["skeinkit"] + r["skeinkit.cli"]
+                                  for r in got)
+        out[name] = {"runs": runs, "total_ms": total,
+                     "cumulative_ms": modules}
+    return out
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", help="checkout of the parent commit")
@@ -113,9 +156,14 @@ def main(argv=None):
                   f"{p['q3']:.4g}] -> {c['median']:10.4g} [{c['q1']:.4g}, "
                   f"{c['q3']:.4g}]  {m['relative_change']:+7.1%}  "
                   f"won {m['pairs_won']}/{blob['pairs']}")
+    imports = importtime(args.parent, args.change, IMPORT_RUNS)
+    for side, blob in imports.items():
+        print(f"import skeinkit.cli, {side}: median "
+              f"{blob['total_ms']:.1f} ms over {blob['runs']} runs")
     record = {"label": args.label, "end_to_end": result,
               "per_layer": {"parent": layers(args.parent),
-                            "change": layers(args.change)}}
+                            "change": layers(args.change)},
+              "import_skeinkit_cli": imports}
     path = Path(f"BENCH_{args.label}.json")
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path}")
