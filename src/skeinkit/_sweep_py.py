@@ -46,7 +46,8 @@ with matching M can reach at most
 
 and every term below f by that bound is cut off the low end of the list;
 a state with no term left is dropped.  Cut 0 gives the certified top
-T + 2*c0 (:func:`certified_top`), which an A-adequate diagram attains.
+T + 2*c0 (the ``top`` of :func:`_all_a_cuts`), which an A-adequate
+diagram attains.
 The bound holds for every diagram, adequate or not.  With ``floor=None``
 the kernel runs the full sweep and computes no bound.
 
@@ -195,15 +196,6 @@ def _all_a_cuts(program, identity=b""):
         pairs = tuple(tuple(e) for e in ends.values())
     cuts.reverse()
     return len(program) + 2 * circles, cuts
-
-
-def certified_top(program, identity=b""):
-    """Upper bound on the bracket's exponents: T + 2*c0 (see _all_a_cuts).
-
-    With ``identity``, the bound on the coefficient of that matching:
-    the closure's bound less its len(identity) / 2 identity circles.
-    """
-    return _all_a_cuts(program, identity)[0] - len(identity)
 
 
 def _prune(states, low, pairs):

@@ -28,8 +28,8 @@ position ``d``.
 from __future__ import annotations
 
 import functools
+import os
 import re
-from importlib import resources
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import BudgetError, InternalError, PDError
@@ -831,8 +831,9 @@ def plan_sweep(pd: PDCode,
 @functools.lru_cache(maxsize=1)
 def _catalog() -> dict[str, PDCode]:
     out = {}
-    text = resources.files(__package__).joinpath("data/catalog.txt") \
-        .read_text(encoding="utf-8")
+    path = os.path.join(os.path.dirname(__file__), "data", "catalog.txt")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:

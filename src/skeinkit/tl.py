@@ -15,9 +15,11 @@ delta = -A^2 - A^-2 in the algebra TL_n.  This module provides:
   delta_factorial(n-1),
 * minimum hook-word length via breadth-first search (an exact oracle
   used by degree-bound tests),
-* a brute-force evaluator for closed planar networks of idempotent
-  boxes (:func:`network_evaluate`), exponential but exact, used to
-  cross-check closed formulas.
+* an exact evaluator for closed planar networks of idempotent boxes
+  (:func:`network_evaluate`): it adds one box at a time and carries a
+  numerator per matching of the ports still dangling, so its work
+  grows with those matchings times each box's terms, not with the
+  product of all boxes' term counts.
 
 Boundary points are numbered 0..n-1 along the bottom (left to right)
 and n..2n-1 along the top (left to right); the boundary circle is
@@ -441,61 +443,98 @@ class PlanarNetwork:
             raise PDError("arcs must cover every box port exactly once")
 
 
-def _port_cycles(net: PlanarNetwork,
-                 pick: Sequence[Matching]) -> int:
-    """Circles formed by the arcs plus each box's chosen matching."""
-    nxt: dict[Port, list[Port]] = {}
+def _contract(net: PlanarNetwork,
+              terms: Sequence[Sequence[tuple[Matching, LaurentPoly]]],
+              max_network) -> LaurentPoly:
+    """Numerator of the network's value when box i expands as terms[i].
+
+    The boxes are added one at a time, in order.  A port dangles while
+    its arc leads to a box not yet added.  A state is the matching that
+    the arcs and the added boxes' terms make on the dangling ports,
+    listed in port order, and it carries its numerator.  Adding a box
+    walks every path through it from a dangling port to the next, and
+    each loop that closes is worth delta.  Per state, the terms that
+    land on the same (matching, loops) are summed before multiplying.
+    The (state, term) pairs composed so far may not exceed max_network;
+    the count is checked before each box.
+    """
+    base = list(itertools.accumulate((2 * w for w in net.boxes), initial=0))
+
+    def port_id(port: Port) -> int:
+        i, side, k = port
+        return base[i] + (k if side == "b" else net.boxes[i] + k)
+
+    other: dict[int, int] = {}
     for p, q in net.arcs:
-        nxt.setdefault(p, []).append(q)
-        nxt.setdefault(q, []).append(p)
-    for i, m in enumerate(pick):
-        w = m.n
-        for a in range(2 * w):
-            b = m.partner[a]
-            if a < b:
-                pa = (i, "b", a) if a < w else (i, "t", a - w)
-                pb = (i, "b", b) if b < w else (i, "t", b - w)
-                nxt.setdefault(pa, []).append(pb)
-                nxt.setdefault(pb, []).append(pa)
-    seen: set[Port] = set()
-    cycles = 0
-    for start in nxt:
-        if start in seen:
-            continue
-        cycles += 1
-        prev, cur = None, start
-        while cur not in seen:
-            seen.add(cur)
-            nbrs = list(nxt[cur])
-            if prev is not None:
-                nbrs.remove(prev)
-            prev, cur = cur, nbrs[0]
-    return cycles
+        other[port_id(p)], other[port_id(q)] = port_id(q), port_id(p)
+    box_of = [i for i, w in enumerate(net.boxes) for _ in range(2 * w)]
+    d = delta(1)
+    dangling: list[int] = []
+    states = {(): d ** net.circles}
+    work = 0
+    for i, box_terms in enumerate(terms):
+        work += len(states) * len(box_terms)
+        if work > max_network:
+            raise BudgetError("max_network", max_network, needed=work,
+                              detail="network contraction too large")
+        lo, hi = base[i], base[i + 1]
+        kept = [p for p in dangling + list(range(lo, hi))
+                if box_of[other[p]] > i]
+        ends = set(kept)
+        after: dict[tuple[int, ...], LaurentPoly] = {}
+        for state, num in states.items():
+            link = dict(zip(dangling, state))
+            groups: dict[tuple[tuple[int, ...], int], LaurentPoly] = {}
+            for m, c in box_terms:
+                link.update(zip(range(lo, hi), (lo + j for j in m.partner)))
+                pair: dict[int, int] = {}
+                seen: set[int] = set()
+                for e in kept:
+                    if e in pair:
+                        continue
+                    x = link[e]
+                    while x not in ends:
+                        y = other[x]
+                        seen.add(x)
+                        seen.add(y)
+                        x = link[y]
+                    pair[e], pair[x] = x, e
+                # every port of the box that no path passed lies on a loop
+                loops = 0
+                for p in range(lo, hi):
+                    if p in seen or p in ends:
+                        continue
+                    loops += 1
+                    x = p
+                    while x not in seen:
+                        y = link[x]
+                        seen.add(x)
+                        seen.add(y)
+                        x = other[y]
+                key = (tuple(pair[p] for p in kept), loops)
+                groups[key] = groups[key] + c if key in groups else c
+            for (matching, loops), c in groups.items():
+                c = num * c * d ** loops if loops else num * c
+                after[matching] = (after[matching] + c if matching in after
+                                   else c)
+        dangling = kept
+        states = {s: c for s, c in after.items() if not c.is_zero}
+    return states.get((), ZERO)
 
 
 def network_evaluate(net: PlanarNetwork,
                      max_network: int = 2_000_000) -> RationalFn:
-    """Exact value of a closed network, by expanding every box.
+    """Exact value of a closed network, contracted one box at a time.
 
-    Each box contributes its idempotent's terms; a full choice of
-    matchings leaves only circles, each worth delta.  Cost is the
-    product of term counts over all boxes (checked against the
-    max_network budget), so this is an oracle for small inputs, not an
-    algorithm.
+    Each box contributes its idempotent's terms (see :func:`_contract`);
+    the numerator is the sum over all choices of terms of their product
+    times delta per circle, and the denominator the product of the
+    boxes' denominators.  max_network bounds the work of the
+    contraction: the number of (state, term) pairs it composes, where a
+    state is a matching of the ports that still dangle.
     """
     idems = [jones_wenzl(w) for w in net.boxes]
-    size = math.prod(len(el.nums) for el in idems)
-    if size > max_network:
-        raise BudgetError("max_network", max_network, needed=size,
-                          detail="network expansion too large")
-    # numerators summed per circle count, so each power of delta is
-    # multiplied in once
-    by_circles: dict[int, LaurentPoly] = {}
-    for combo in itertools.product(*(el.nums for el in idems)):
-        coeff = math.prod((c for _, c in combo), start=ONE)
-        circles = _port_cycles(net, [m for m, _ in combo]) + net.circles
-        by_circles[circles] = by_circles.get(circles, ZERO) + coeff
-    num = sum((c * delta(1) ** k for k, c in by_circles.items()), ZERO)
+    num = _contract(net, [el.nums for el in idems], max_network)
     return RationalFn(num, math.prod((el.den for el in idems), start=ONE))
 
 
@@ -539,5 +578,7 @@ def identity_replacement_degree(net: PlanarNetwork) -> int:
 
     This is the lower bound that adequate networks attain exactly.
     """
-    pick = [Matching.identity(w) for w in net.boxes]
-    return -2 * (_port_cycles(net, pick) + net.circles)
+    # with one identity term of coefficient 1 per box, the contraction
+    # is delta to the power of the circle count
+    terms = [((Matching.identity(w), ONE),) for w in net.boxes]
+    return _contract(net, terms, math.inf).min_degree()

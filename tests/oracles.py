@@ -2,22 +2,34 @@
 
 Everything here is computed by a different route than the library code
 under test: a 2x2 transfer matrix for rational-tangle brackets, a braid
-walker for PD codes, a fresh breadth-first search for word lengths, and
-long division from the top for windowed quotients, and the earlier
-builders of sweep plans and cables (a greedy loop that rescores every
-crossing at each step, and a cable wired through a junction graph).
+walker for PD codes, a fresh breadth-first search for word lengths,
+long division from the top for windowed quotients, the expansion of a
+closed projector network into every combination of box terms, and the
+earlier builders of sweep plans and cables (a greedy loop that rescores
+every crossing at each step, and a cable wired through a junction
+graph).
 The CLI's JSON polynomials are read back by the inverses of its schema.
+``certified_top`` is not independent: it reads the kernel's own degree
+bound from ``_sweep_py._all_a_cuts``, which the window tests need.
 ``PLANAR`` draws the generated planar diagrams that several modules
 sweep.
 """
 
+import itertools
+import math
+
 from hypothesis import strategies as st
 
+from skeinkit._sweep_py import _all_a_cuts
 from skeinkit.construct import rational_knot, twist_closure, with_kink
 from skeinkit.diagram import PDCode, SweepPlan, analyze, format_pd, parse_pd
-from skeinkit.poly import LaurentPoly, ONE, monomial
+from skeinkit.errors import BudgetError
+from skeinkit.poly import LaurentPoly, ONE, ZERO, RationalFn, monomial
 from skeinkit.quantum import delta
-from skeinkit.tl import compose, enumerate_matchings, hook
+from skeinkit.tl import (
+    Matching, PlanarNetwork, compose, enumerate_matchings, hook,
+    jones_wenzl,
+)
 
 # Published single-variable invariants for the bundled alternating knots,
 # as exponent->coefficient tables in the bracket variable.  A diagram
@@ -254,6 +266,77 @@ def bfs_word_lengths(n: int) -> dict:
                     nxt.append(prod)
         frontier = nxt
     return dist
+
+
+def certified_top(program, identity=b""):
+    """Upper bound on a sweep's exponents: the all-A state's T + 2*c0.
+
+    With ``identity``, the bound on the coefficient of that matching:
+    the closure's bound less its len(identity) / 2 identity circles.
+    """
+    return _all_a_cuts(program, identity)[0] - len(identity)
+
+
+def port_cycles(net: PlanarNetwork, pick) -> int:
+    """Circles formed by the arcs plus each box's chosen matching."""
+    nxt = {}
+    for p, q in net.arcs:
+        nxt.setdefault(p, []).append(q)
+        nxt.setdefault(q, []).append(p)
+    for i, m in enumerate(pick):
+        w = m.n
+        for a in range(2 * w):
+            b = m.partner[a]
+            if a < b:
+                pa = (i, "b", a) if a < w else (i, "t", a - w)
+                pb = (i, "b", b) if b < w else (i, "t", b - w)
+                nxt.setdefault(pa, []).append(pb)
+                nxt.setdefault(pb, []).append(pa)
+    seen = set()
+    cycles = 0
+    for start in nxt:
+        if start in seen:
+            continue
+        cycles += 1
+        prev, cur = None, start
+        while cur not in seen:
+            seen.add(cur)
+            nbrs = list(nxt[cur])
+            if prev is not None:
+                nbrs.remove(prev)
+            prev, cur = cur, nbrs[0]
+    return cycles
+
+
+def expand_network(net: PlanarNetwork,
+                   max_network: int = 2_000_000) -> RationalFn:
+    """Exact value of a closed network, by expanding every box.
+
+    Each box contributes its idempotent's terms; a full choice of
+    matchings leaves only circles, each worth delta.  Cost is the
+    product of term counts over all boxes (checked against the
+    max_network budget).
+    """
+    idems = [jones_wenzl(w) for w in net.boxes]
+    size = math.prod(len(el.nums) for el in idems)
+    if size > max_network:
+        raise BudgetError("max_network", max_network, needed=size,
+                          detail="network expansion too large")
+    by_circles = {}
+    for combo in itertools.product(*(el.nums for el in idems)):
+        coeff = math.prod((c for _, c in combo), start=ONE)
+        circles = port_cycles(net, [m for m, _ in combo]) + net.circles
+        by_circles[circles] = by_circles.get(circles, ZERO) + coeff
+    num = sum((c * delta(1) ** k for k, c in by_circles.items()), ZERO)
+    return RationalFn(num, math.prod((el.den for el in idems), start=ONE))
+
+
+def necklace_network(n: int, k: int) -> PlanarNetwork:
+    """k boxes of width n in a ring: strand s leaves the top of box j
+    and enters the bottom of box j+1 (mod k).  Its value is Delta_n."""
+    arcs = tuple(((j, "t", s), ((j + 1) % k, "b", s))
+                 for j in range(k) for s in range(n))
+    return PlanarNetwork(boxes=(n,) * k, arcs=arcs)
 
 
 # Stable-range coefficient tables for the 6_2 catalog entry, after

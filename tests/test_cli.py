@@ -210,20 +210,27 @@ def _cli(*argv):
 def test_import_loads_only_what_every_subcommand_needs():
     """Importing the CLI adds neither dataclasses (nor the inspect it
     pulls in) nor what only some subcommands use: json for --format json,
-    tail for tail and verify-stability, tl and construct for none."""
+    tail for tail and verify-stability, tl and construct for none.  With
+    -S, where no site hook has loaded it first, it adds no
+    importlib.resources either: the catalog is read by its path."""
     import skeinkit
     src = os.path.dirname(os.path.dirname(skeinkit.__file__))
     script = ("import sys\n"
               "before = set(sys.modules)\n"
               "import skeinkit.cli\n"
               "print(*sorted(set(sys.modules) - before))\n")
-    proc = subprocess.run([sys.executable, "-c", script], check=True,
-                          capture_output=True, text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": src})
-    loaded = set(proc.stdout.split())
-    assert {"skeinkit.cli", "skeinkit.diagram", "skeinkit.jones"} <= loaded
-    assert not loaded & {"dataclasses", "inspect", "json", "skeinkit.tail",
-                         "skeinkit.tl", "skeinkit.construct"}
+    for flags in ((), ("-S",)):
+        proc = subprocess.run([sys.executable, *flags, "-c", script],
+                              check=True, capture_output=True, text=True,
+                              timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        loaded = set(proc.stdout.split())
+        assert {"skeinkit.cli", "skeinkit.diagram",
+                "skeinkit.jones"} <= loaded, flags
+        assert not loaded & {"dataclasses", "inspect", "json",
+                             "skeinkit.tail", "skeinkit.tl",
+                             "skeinkit.construct"}, flags
+    assert "importlib.resources" not in loaded
 
 
 def test_time_limit_budget():

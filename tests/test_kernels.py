@@ -7,10 +7,10 @@ the Hypothesis tests in test_jones.py.
 
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import PLANAR, braid_closure
+from oracles import PLANAR, braid_closure, certified_top
 from skeinkit import _sweep_py
 from skeinkit._kernel import available_kernels, pick_kernel, run_packed
-from skeinkit._sweep_py import certified_top, replay_circles, run
+from skeinkit._sweep_py import replay_circles, run
 from skeinkit.construct import rational_knot, with_kink
 from skeinkit.diagram import (
     all_a, analyze, apply_state, cable, catalog_lookup, catalog_names,

@@ -4,10 +4,12 @@ import math
 
 import pytest
 
-from oracles import bfs_word_lengths
+from oracles import (
+    bfs_word_lengths, expand_network, necklace_network, port_cycles,
+)
 from skeinkit.errors import AdmissibilityError, BudgetError, PDError
 from skeinkit.poly import A, ONE, RationalFn
-from skeinkit.quantum import delta, delta_factorial, theta
+from skeinkit.quantum import admissible, delta, delta_factorial, theta
 from skeinkit.tl import (
     Matching, PlanarNetwork, Port, TLElement, circle_network, compose,
     enumerate_matchings, hook, identity_replacement_degree, jones_wenzl,
@@ -181,6 +183,31 @@ def test_theta_network_rejects_inadmissible():
     for bad in ((1, 1, 1), (1, 2, 4), (2, 2, 7)):
         with pytest.raises(AdmissibilityError):
             theta_network(*bad)
+
+
+def test_network_evaluate_equals_the_expansion():
+    # the box-by-box contraction against every combination of box terms
+    nets = [theta_network(a, b, c) for a in range(6) for b in range(6)
+            for c in range(6) if admissible(a, b, c)]
+    nets += [trace_network(n) for n in range(7)]
+    nets += [circle_network(k) for k in (1, 2, 3)]
+    nets += [necklace_network(n, k) for n in range(4) for k in (2, 3, 4)]
+    for net in nets:
+        assert network_evaluate(net) == expand_network(net), net
+        identities = [Matching.identity(w) for w in net.boxes]
+        assert identity_replacement_degree(net) \
+            == -2 * (port_cycles(net, identities) + net.circles), net
+    for n in range(4):
+        for k in (2, 3, 4):
+            assert network_evaluate(necklace_network(n, k)) \
+                == RationalFn.of(delta(n)), (n, k)
+
+
+def test_wide_necklace_fits_the_default_budget():
+    # 42**6 combinations of terms, far past the default max_network, but
+    # the contraction carries at most 42 matchings of 10 ports per box
+    assert network_evaluate(necklace_network(5, 6)) \
+        == RationalFn.of(delta(5))
 
 
 def test_network_budget():

@@ -17,12 +17,13 @@ from a directory holding both checkouts:
 
 For every workload with untraced records of the same seed on both sides,
 this prints each end-to-end metric's median and quartiles per side, the
-change of the medians, the parent's interquartile range and the pairs
-the change won.  It writes all of it, with the run metadata and the
-medians of any traced per-layer records, to ``BENCH_<label>.json`` in
-the current directory.  It also runs ``python -X importtime -c "import
-skeinkit.cli"`` IMPORT_RUNS times per side, alternating, and records the
-median cumulative milliseconds of each module that the import loads.
+change of the medians, the pairs the change won and two verdicts (see
+:func:`verdict`) against the metric's bound in ``BENCHMARK.json``.  It
+writes all of it, with the run metadata and the medians of any traced
+per-layer records, to ``BENCH_<label>.json`` in the current directory.
+It also runs ``python -X importtime -c "import skeinkit.cli"``
+IMPORT_RUNS times per side, alternating, and records the median
+cumulative milliseconds of each module that the import loads.
 """
 
 import argparse
@@ -53,8 +54,43 @@ def _summary(values):
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def compare(parent, change, better):
-    """Per workload: paired end-to-end statistics of the two sides."""
+def verdict(a, b, better, bound):
+    """Judge one metric from paired runs: a of the parent, b of the change.
+
+    ``verdict`` is "worse" when the change's median is worse than the
+    parent's by more than ``bound`` (a fraction of the parent's median);
+    otherwise "unresolved" when the parent's own IQR exceeds ``bound``
+    of its median, unless every run of the change beats every run of
+    the parent ("better"); otherwise "within bound".  ``gain`` is "met"
+    when the change won at least nine tenths of the pairs, ties counting
+    for neither, and its median beats the parent's by more than the
+    parent's IQR; otherwise "not met".
+    """
+    sign = 1 if better == "lower" else -1
+    before, after = _summary(a), _summary(b)
+    iqr = before["q3"] - before["q1"]
+    won = sum(sign * (y - x) < 0 for x, y in zip(a, b))
+    if sign * (after["median"] / before["median"] - 1) > bound:
+        judged = "worse"
+    elif all(sign * (y - x) < 0 for x in a for y in b):
+        judged = "better"
+    elif iqr > bound * before["median"]:
+        judged = "unresolved"
+    else:
+        judged = "within bound"
+    met = 10 * won >= 9 * len(a) and \
+        sign * (before["median"] - after["median"]) > iqr
+    return {
+        "parent": before, "change": after,
+        "relative_change": after["median"] / before["median"] - 1,
+        "parent_iqr": iqr, "pairs_won": won, "bound": bound,
+        "verdict": judged, "gain": "met" if met else "not met",
+    }
+
+
+def compare(parent, change, spec):
+    """Per workload: paired end-to-end statistics of the two sides, for
+    the ``end_to_end`` metrics of a ``BENCHMARK.json`` spec."""
     old, new = _records(parent, 0), _records(change, 0)
     out = {}
     for workload in sorted({w for w, _ in old}):
@@ -64,17 +100,11 @@ def compare(parent, change, better):
             continue
         pairs = [(old[workload, s], new[workload, s]) for s in seeds]
         metrics = {}
-        for name, direction in better.items():
+        for m in spec:
+            name = m["name"]
             a = [p["end_to_end"][name] for p, _ in pairs]
             b = [c["end_to_end"][name] for _, c in pairs]
-            sign = 1 if direction == "lower" else -1
-            before, after = _summary(a), _summary(b)
-            metrics[name] = {
-                "parent": before, "change": after,
-                "relative_change": after["median"] / before["median"] - 1,
-                "parent_iqr": before["q3"] - before["q1"],
-                "pairs_won": sum(sign * (y - x) < 0 for x, y in zip(a, b)),
-            }
+            metrics[name] = verdict(a, b, m["better"], m["bound"])
         out[workload] = {
             "seeds": seeds, "pairs": len(seeds), "metrics": metrics,
             "failed": {"parent": sum(p["failed"] for p, _ in pairs),
@@ -141,8 +171,7 @@ def main(argv=None):
                     help="writes BENCH_<label>.json")
     args = ap.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    result = compare(args.parent, args.change, better)
+    result = compare(args.parent, args.change, spec["end_to_end"])
     if not result:
         print("error: no workload has two seeds run on both sides",
               file=sys.stderr)
@@ -155,7 +184,8 @@ def main(argv=None):
             print(f"  {name:<12} {p['median']:10.4g} [{p['q1']:.4g}, "
                   f"{p['q3']:.4g}] -> {c['median']:10.4g} [{c['q1']:.4g}, "
                   f"{c['q3']:.4g}]  {m['relative_change']:+7.1%}  "
-                  f"won {m['pairs_won']}/{blob['pairs']}")
+                  f"won {m['pairs_won']}/{blob['pairs']}  {m['verdict']}, "
+                  f"gain {m['gain']}")
     imports = importtime(args.parent, args.change, IMPORT_RUNS)
     for side, blob in imports.items():
         print(f"import skeinkit.cli, {side}: median "
