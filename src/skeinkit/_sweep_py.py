@@ -73,6 +73,8 @@ floor.
 
 This module is deliberately free of package imports.  It is the
 package's only sweep kernel; ``_kernel.run_packed`` is its entry point.
+``tl`` reuses :func:`_surgery` and :func:`_repack` to glue matchings,
+so no other code joins partner arrays and counts the loops they close.
 """
 
 from operator import add, neg, sub
@@ -80,23 +82,32 @@ from operator import add, neg, sub
 KERNEL_NAME = "py"
 
 
-def _keep(w0, closures):
-    """The indices of the extended frame that survive a step, in order."""
+def _keep(size, closures):
+    """The indices of a frame of ``size`` ends that survive, in order."""
     dead = set(sum(closures, ()))
-    return [i for i in range(w0 + 4) if i not in dead]
+    return [i for i in range(size) if i not in dead]
+
+
+def _repack(size, closures):
+    """The closed indices of a frame of ``size`` ends in descending
+    order, and the table that re-packs its survivors for translate."""
+    if size > 256:
+        raise ValueError(f"a frame of {size} ends exceeds a byte key's 256")
+    dead = sorted(sum(closures, ()), reverse=True)
+    # a closed index keeps entry 0; translate never sees it
+    table = bytearray(256)
+    for k, i in enumerate(_keep(size, closures)):
+        table[i] = k
+    return dead, bytes(table)
 
 
 def _tables(w0, closures):
     """The per-step tables: fresh tails of the A and B branches, closed
     indices in descending order, and the re-pack table for translate."""
+    dead, table = _repack(w0 + 4, closures)
     fresh_a = bytes((w0 + 1, w0, w0 + 3, w0 + 2))      # A: (ab)(cd)
     fresh_b = bytes((w0 + 3, w0 + 2, w0 + 1, w0))      # B: (ad)(bc)
-    dead = sorted(sum(closures, ()), reverse=True)
-    # a closed index keeps entry 0; translate never sees it
-    table = bytearray(256)
-    for k, i in enumerate(_keep(w0, closures)):
-        table[i] = k
-    return fresh_a, fresh_b, dead, bytes(table)
+    return fresh_a, fresh_b, dead, table
 
 
 def _surgery(p, closures, dead, table):
@@ -178,7 +189,7 @@ def _all_a_cuts(program, identity=b""):
     circles = 0
     for w0, closures in reversed(program):
         cuts.append((len(cuts) + 2 * circles, pairs))
-        keep = _keep(w0, closures)
+        keep = _keep(w0 + 4, closures)
         root = list(range(w0 + 4))
 
         def find(x):
@@ -253,7 +264,7 @@ def _dead_pairs(program, identity):
         w0, closures = program[s]
         ext_closer = [None] * (w0 + 4)
         ext_legs = [None] * (w0 + 4)
-        for k, x in enumerate(_keep(w0, closures)):
+        for k, x in enumerate(_keep(w0 + 4, closures)):
             ext_closer[x] = closer[k]
             ext_legs[x] = legs[k]
         mate = {}

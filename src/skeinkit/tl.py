@@ -21,6 +21,10 @@ delta = -A^2 - A^-2 in the algebra TL_n.  This module provides:
   grows with those matchings times each box's terms, not with the
   product of all boxes' term counts.
 
+The product, :func:`partial_trace` and the network evaluator glue
+partner arrays and count closed loops with the sweep kernel's surgery
+(``_sweep_py._surgery``), whose byte keys allow 256 points per frame.
+
 Boundary points are numbered 0..n-1 along the bottom (left to right)
 and n..2n-1 along the top (left to right); the boundary circle is
 traversed bottom left-to-right, then top right-to-left.
@@ -36,8 +40,9 @@ from collections import deque
 from typing import Iterator, Sequence
 
 from .errors import AdmissibilityError, BudgetError, PDError
+from ._sweep_py import _repack, _surgery
 from .poly import ONE, ZERO, LaurentPoly, RationalFn, exact_divide
-from .quantum import delta
+from .quantum import admissible, delta
 
 
 # ---------------------------------------------------------------------------
@@ -147,58 +152,24 @@ def compose(m1: Matching, m2: Matching) -> tuple[Matching, int]:
     """Stack m2 on top of m1; return the resulting matching and the
     number of closed loops deleted.
 
-    The glued points are m1's top row and m2's bottom row.  Global point
-    ids: m1 bottom 0..n-1, junction row n..2n-1, m2 top 2n..3n-1.
+    m2's partner array goes beside m1's, shifted by 2n, and the sweep
+    kernel's surgery joins point n+i to 2n+i.  Byte keys hold the 4n
+    points for n <= 64; wider matchings raise ValueError.
     """
     if m1.n != m2.n:
         raise PDError("strand counts differ")
     n = m1.n
-    adj: dict[int, list[int]] = {p: [] for p in range(3 * n)}
+    frame = _stacking(n)        # first: it raises past 64 strands
+    p = bytearray(m1.partner) + bytes(2 * n + j for j in m2.partner)
+    key, loops = _surgery(p, *frame)
+    return Matching(n, tuple(key)), loops
 
-    def edge(a: int, b: int) -> None:
-        adj[a].append(b)
-        adj[b].append(a)
 
-    for i in range(2 * n):
-        if i < m1.partner[i]:
-            edge(i, m1.partner[i])
-    for i in range(2 * n):
-        j = m2.partner[i]
-        if i < j:
-            # m2's bottom row lands on the junction row, its top row on
-            # the result's top row: both are a shift by n
-            edge(i + n, j + n)
-
-    def step(prev: int, cur: int) -> int:
-        nbrs = list(adj[cur])
-        nbrs.remove(prev)  # drop one occurrence; handles double edges
-        return nbrs[0]
-
-    part = [0] * (2 * n)
-    done = set()
-    visited_junction = set()
-    for start in itertools.chain(range(n), range(2 * n, 3 * n)):
-        a = start if start < n else start - n
-        if a in done:
-            continue
-        prev, cur = start, adj[start][0]
-        while n <= cur < 2 * n:
-            visited_junction.add(cur)
-            prev, cur = cur, step(prev, cur)
-        b = cur if cur < n else cur - n
-        part[a], part[b] = b, a
-        done.update((a, b))
-    loops = 0
-    for start in range(n, 2 * n):
-        if start in visited_junction:
-            continue
-        visited_junction.add(start)
-        prev, cur = start, adj[start][0]
-        while cur != start:
-            visited_junction.add(cur)
-            prev, cur = cur, step(prev, cur)
-        loops += 1
-    return Matching(n, tuple(part)), loops
+@functools.lru_cache(maxsize=None)
+def _stacking(n: int):
+    """The closures, closed indices and re-pack table of :func:`compose`."""
+    closures = tuple((n + i, 2 * n + i) for i in range(n))
+    return (closures, *_repack(4 * n, closures))
 
 
 # ---------------------------------------------------------------------------
@@ -357,35 +328,20 @@ def jones_wenzl(n: int) -> TLElement:
 def partial_trace(el: TLElement) -> TLElement:
     """Close the rightmost strand of el around the side.
 
-    Bottom point n-1 is joined to top point 2n-1; a pair that connected
-    exactly those two becomes a free loop worth delta.
+    The sweep kernel's surgery joins bottom point n-1 to top point 2n-1;
+    a pair that connected exactly those two becomes a free loop worth
+    delta.  Byte keys allow n <= 128; wider elements raise ValueError.
     """
     n = el.n
     if n < 1:
         raise PDError("nothing to trace")
-    b, t = n - 1, 2 * n - 1
-
-    def drop(i: int) -> int:
-        # reindex after removing points b and t
-        return i if i < b else i - 1
-
+    closures = ((n - 1, 2 * n - 1),)
+    dead, table = _repack(2 * n, closures)
     out: dict[Matching, LaurentPoly] = {}
     for m, c in el.nums:
-        part = [0] * (2 * n - 2)
-        if m.partner[b] == t:
-            for i, j in enumerate(m.partner):
-                if i in (b, t):
-                    continue
-                part[drop(i)] = drop(j)
-            c = c * delta(1)
-        else:
-            x, y = m.partner[b], m.partner[t]
-            for i, j in enumerate(m.partner):
-                if i in (b, t) or j in (b, t):
-                    continue
-                part[drop(i)] = drop(j)
-            part[drop(x)], part[drop(y)] = drop(y), drop(x)
-        mm = Matching(n - 1, tuple(part))
+        key, loops = _surgery(bytearray(m.partner), closures, dead, table)
+        c = c * delta(1) if loops else c
+        mm = Matching(n - 1, tuple(key))
         out[mm] = out[mm] + c if mm in out else c
     return TLElement._of_nums(n - 1, out, el.den)
 
@@ -450,13 +406,15 @@ def _contract(net: PlanarNetwork,
 
     The boxes are added one at a time, in order.  A port dangles while
     its arc leads to a box not yet added.  A state is the matching that
-    the arcs and the added boxes' terms make on the dangling ports,
-    listed in port order, and it carries its numerator.  Adding a box
-    walks every path through it from a dangling port to the next, and
-    each loop that closes is worth delta.  Per state, the terms that
-    land on the same (matching, loops) are summed before multiplying.
-    The (state, term) pairs composed so far may not exceed max_network;
-    the count is checked before each box.
+    the arcs and the added boxes' terms make on the dangling ports, a
+    bytes partner array, and it carries its numerator.  Adding a box is
+    one step of the sweep kernel's surgery: the frame is the dangling
+    ports, then the box's 2w ports; each box term is a fresh tail; the
+    closures are the arcs inside the frame, and each closed loop is
+    worth delta.  Per state, the terms that land on the same (matching,
+    loops) are summed before multiplying.  The (state, term) pairs
+    composed so far may not exceed max_network; the count is checked
+    before each box.
     """
     base = list(itertools.accumulate((2 * w for w in net.boxes), initial=0))
 
@@ -467,59 +425,36 @@ def _contract(net: PlanarNetwork,
     other: dict[int, int] = {}
     for p, q in net.arcs:
         other[port_id(p)], other[port_id(q)] = port_id(q), port_id(p)
-    box_of = [i for i, w in enumerate(net.boxes) for _ in range(2 * w)]
     d = delta(1)
     dangling: list[int] = []
-    states = {(): d ** net.circles}
+    states = {b"": d ** net.circles}
     work = 0
     for i, box_terms in enumerate(terms):
         work += len(states) * len(box_terms)
         if work > max_network:
             raise BudgetError("max_network", max_network, needed=work,
                               detail="network contraction too large")
-        lo, hi = base[i], base[i + 1]
-        kept = [p for p in dangling + list(range(lo, hi))
-                if box_of[other[p]] > i]
-        ends = set(kept)
-        after: dict[tuple[int, ...], LaurentPoly] = {}
+        frame = dangling + list(range(base[i], base[i + 1]))
+        at = {p: k for k, p in enumerate(frame)}
+        closures = [(k, at[other[p]]) for k, p in enumerate(frame)
+                    if at.get(other[p], -1) > k]
+        dead, table = _repack(len(frame), closures)
+        tails = [(bytes(len(dangling) + j for j in m.partner), c)
+                 for m, c in box_terms]
+        after: dict[bytes, LaurentPoly] = {}
         for state, num in states.items():
-            link = dict(zip(dangling, state))
-            groups: dict[tuple[tuple[int, ...], int], LaurentPoly] = {}
-            for m, c in box_terms:
-                link.update(zip(range(lo, hi), (lo + j for j in m.partner)))
-                pair: dict[int, int] = {}
-                seen: set[int] = set()
-                for e in kept:
-                    if e in pair:
-                        continue
-                    x = link[e]
-                    while x not in ends:
-                        y = other[x]
-                        seen.add(x)
-                        seen.add(y)
-                        x = link[y]
-                    pair[e], pair[x] = x, e
-                # every port of the box that no path passed lies on a loop
-                loops = 0
-                for p in range(lo, hi):
-                    if p in seen or p in ends:
-                        continue
-                    loops += 1
-                    x = p
-                    while x not in seen:
-                        y = link[x]
-                        seen.add(x)
-                        seen.add(y)
-                        x = other[y]
-                key = (tuple(pair[p] for p in kept), loops)
+            groups: dict[tuple[bytes, int], LaurentPoly] = {}
+            for tail, c in tails:
+                key = _surgery(bytearray(state + tail), closures, dead,
+                               table)
                 groups[key] = groups[key] + c if key in groups else c
             for (matching, loops), c in groups.items():
                 c = num * c * d ** loops if loops else num * c
                 after[matching] = (after[matching] + c if matching in after
                                    else c)
-        dangling = kept
+        dangling = [p for p in frame if other[p] not in at]
         states = {s: c for s, c in after.items() if not c.is_zero}
-    return states.get((), ZERO)
+    return states.get(b"", ZERO)
 
 
 def network_evaluate(net: PlanarNetwork,
@@ -531,7 +466,9 @@ def network_evaluate(net: PlanarNetwork,
     times delta per circle, and the denominator the product of the
     boxes' denominators.  max_network bounds the work of the
     contraction: the number of (state, term) pairs it composes, where a
-    state is a matching of the ports that still dangle.
+    state is a matching of the ports that still dangle.  Byte keys allow
+    at most 256 dangling ports and ports of the box being added; more
+    raise ValueError.
     """
     idems = [jones_wenzl(w) for w in net.boxes]
     num = _contract(net, [el.nums for el in idems], max_network)
@@ -558,8 +495,7 @@ def theta_network(a: int, b: int, c: int) -> PlanarNetwork:
     first x of c, and the first y of a to the last y of c (all reversed,
     as the arcs bend around); the bottom vertex mirrors this.
     """
-    if (a + b + c) % 2 or any(v < 0 for v in (b + c - a, a + c - b,
-                                              a + b - c)):
+    if not admissible(a, b, c):
         raise AdmissibilityError(f"({a},{b},{c}) is not admissible")
     x, y, z = (b + c - a) // 2, (a + c - b) // 2, (a + b - c) // 2
     arcs = []

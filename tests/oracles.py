@@ -4,10 +4,12 @@ Everything here is computed by a different route than the library code
 under test: a 2x2 transfer matrix for rational-tangle brackets, a braid
 walker for PD codes, a fresh breadth-first search for word lengths,
 long division from the top for windowed quotients, the expansion of a
-closed projector network into every combination of box terms, and the
-earlier builders of sweep plans and cables (a greedy loop that rescores
-every crossing at each step, and a cable wired through a junction
-graph).
+closed projector network into every combination of box terms, a walk
+over the graph of two stacked matchings and a reindexing that closes a
+strand of one (for ``tl.compose`` and ``tl.partial_trace``, which run
+the sweep kernel's surgery), and the earlier builders of sweep plans
+and cables (a greedy loop that rescores every crossing at each step,
+and a cable wired through a junction graph).
 The CLI's JSON polynomials are read back by the inverses of its schema.
 ``certified_top`` is not independent: it reads the kernel's own degree
 bound from ``_sweep_py._all_a_cuts``, which the window tests need.
@@ -27,8 +29,7 @@ from skeinkit.errors import BudgetError
 from skeinkit.poly import LaurentPoly, ONE, ZERO, RationalFn, monomial
 from skeinkit.quantum import delta
 from skeinkit.tl import (
-    Matching, PlanarNetwork, compose, enumerate_matchings, hook,
-    jones_wenzl,
+    Matching, PlanarNetwork, enumerate_matchings, hook, jones_wenzl,
 )
 
 # Published single-variable invariants for the bundled alternating knots,
@@ -250,6 +251,84 @@ def q_series_from_json(blob: dict) -> LaurentPoly:
 TORUS_3_4_WORD = (3, [1, 2] * 4)
 
 
+def graph_compose(m1: Matching, m2: Matching) -> tuple[Matching, int]:
+    """``tl.compose`` by walking the graph of the stacked matchings:
+    the resulting matching and the number of closed loops.
+
+    Global point ids: m1 bottom 0..n-1, junction row n..2n-1, m2 top
+    2n..3n-1.
+    """
+    n = m1.n
+    adj: dict[int, list[int]] = {p: [] for p in range(3 * n)}
+
+    def edge(a: int, b: int) -> None:
+        adj[a].append(b)
+        adj[b].append(a)
+
+    for i in range(2 * n):
+        if i < m1.partner[i]:
+            edge(i, m1.partner[i])
+    for i in range(2 * n):
+        j = m2.partner[i]
+        if i < j:
+            # m2's bottom row lands on the junction row, its top row on
+            # the result's top row: both are a shift by n
+            edge(i + n, j + n)
+
+    def step(prev: int, cur: int) -> int:
+        nbrs = list(adj[cur])
+        nbrs.remove(prev)  # drop one occurrence; handles double edges
+        return nbrs[0]
+
+    part = [0] * (2 * n)
+    done = set()
+    visited_junction = set()
+    for start in itertools.chain(range(n), range(2 * n, 3 * n)):
+        a = start if start < n else start - n
+        if a in done:
+            continue
+        prev, cur = start, adj[start][0]
+        while n <= cur < 2 * n:
+            visited_junction.add(cur)
+            prev, cur = cur, step(prev, cur)
+        b = cur if cur < n else cur - n
+        part[a], part[b] = b, a
+        done.update((a, b))
+    loops = 0
+    for start in range(n, 2 * n):
+        if start in visited_junction:
+            continue
+        visited_junction.add(start)
+        prev, cur = start, adj[start][0]
+        while cur != start:
+            visited_junction.add(cur)
+            prev, cur = cur, step(prev, cur)
+        loops += 1
+    return Matching(n, tuple(part)), loops
+
+
+def reindex_trace(m: Matching) -> tuple[Matching, int]:
+    """``tl.partial_trace`` of one matching by reindexing: the matching
+    left when bottom point n-1 is joined to top point 2n-1, and 1 when
+    those two were paired (a free loop), else 0."""
+    n = m.n
+    b, t = n - 1, 2 * n - 1
+
+    def drop(i: int) -> int:
+        # reindex after removing points b and t
+        return i if i < b else i - 1
+
+    part = [0] * (2 * n - 2)
+    for i, j in enumerate(m.partner):
+        if i not in (b, t) and j not in (b, t):
+            part[drop(i)] = drop(j)
+    if m.partner[b] == t:
+        return Matching(n - 1, tuple(part)), 1
+    x, y = m.partner[b], m.partner[t]
+    part[drop(x)], part[drop(y)] = drop(y), drop(x)
+    return Matching(n - 1, tuple(part)), 0
+
+
 def bfs_word_lengths(n: int) -> dict:
     """Fewest hook generators producing each matching, found afresh."""
     gens = [hook(n, i) for i in range(1, n)]
@@ -260,7 +339,7 @@ def bfs_word_lengths(n: int) -> dict:
         nxt = []
         for m in frontier:
             for g in gens:
-                prod, _ = compose(m, g)
+                prod, _ = graph_compose(m, g)
                 if prod not in dist:
                     dist[prod] = dist[m] + 1
                     nxt.append(prod)

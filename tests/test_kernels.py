@@ -5,6 +5,9 @@ Exactness of the full sweep against the literal state sum is checked by
 the Hypothesis tests in test_jones.py.
 """
 
+import ast
+from pathlib import Path
+
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import PLANAR, braid_closure, certified_top
@@ -25,6 +28,24 @@ def test_python_kernel_always_available():
     # what perfbench's run metadata reads
     assert available_kernels() == ["py"]
     assert pick_kernel() is _sweep_py and _sweep_py.KERNEL_NAME == "py"
+
+
+def test_sweep_kernel_imports_no_package_module():
+    # tl imports the kernel, so a package import there risks a cycle
+    path = Path(__file__).resolve().parent.parent / "src" / "skeinkit" \
+        / "_sweep_py.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            bad = node.level > 0 or node.module.split(".")[0] == "skeinkit"
+        elif isinstance(node, ast.Import):
+            bad = any(a.name.split(".")[0] == "skeinkit" for a in node.names)
+        else:
+            continue
+        if bad:
+            found.append(ast.unparse(node))
+    assert not found, found
 
 
 def test_replay_circles_counts_match_brute():

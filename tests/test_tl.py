@@ -5,7 +5,8 @@ import math
 import pytest
 
 from oracles import (
-    bfs_word_lengths, expand_network, necklace_network, port_cycles,
+    bfs_word_lengths, expand_network, graph_compose, necklace_network,
+    port_cycles, reindex_trace,
 )
 from skeinkit.errors import AdmissibilityError, BudgetError, PDError
 from skeinkit.poly import A, ONE, RationalFn
@@ -121,6 +122,30 @@ def test_projector_canonical_denominator():
     for i in range(1, 7):
         h = TLElement.of_matching(hook(7, i))
         assert (h * f).is_zero and (f * h).is_zero, i
+
+
+def test_gluing_equals_the_graph_walks():
+    # all 1,991 pairs of matchings with n = 0-5 strands, and the trace
+    # of every matching with n = 1-5
+    for n in range(6):
+        ms = enumerate_matchings(n)
+        for m1 in ms:
+            for m2 in ms:
+                assert compose(m1, m2) == graph_compose(m1, m2), \
+                    (str(m1), str(m2))
+    for n in range(1, 6):
+        for m in enumerate_matchings(n):
+            mm, loops = reindex_trace(m)
+            assert partial_trace(TLElement.of_matching(m)) \
+                == TLElement.of_matching(mm, delta(1) ** loops), str(m)
+
+
+def test_compose_fits_byte_keys_up_to_64_strands():
+    wide = Matching.identity(64)
+    assert compose(wide, wide) == (wide, 0)
+    wider = Matching.identity(65)
+    with pytest.raises(ValueError, match="frame of 260 ends"):
+        compose(wider, wider)
 
 
 def test_partial_trace_ratio():
