@@ -1,8 +1,10 @@
 """Programmatic diagram builders: twist regions, rational tangles, kinks.
 
-Diagrams are assembled abstractly (crossings with counterclockwise port
+Tangles are assembled abstractly (crossings with counterclockwise port
 cycles, wired by terminals) and serialized to PD codes through
 :func:`skeinkit.diagram.emit_pd`, which assigns consistent arc labels.
+:func:`with_kink` instead wires its curl into a copy of the diagram's
+port array (``DiagramInfo.far``) and labels that directly.
 
 A :class:`TangleBuilder` holds a 2-string tangle with four boundary ends
 (nw, ne, sw, se).  Starting from the 0-tangle (two horizontal strands),
@@ -22,7 +24,7 @@ import dataclasses
 import itertools
 from typing import Sequence
 
-from .diagram import PDCode, emit_pd
+from .diagram import PDCode, _label, analyze, emit_pd
 from .errors import PDError
 
 
@@ -176,33 +178,17 @@ def with_kink(pd: PDCode, arc: int, positive: bool = True) -> PDCode:
     The output is re-labeled from scratch; it represents the same link
     with writhe shifted by +-1.
     """
-    from .diagram import analyze  # local import: avoid cycle at module load
-
     info = analyze(pd)
     if arc not in info.arc_ports:
         raise PDError(f"no arc {arc} in this diagram")
-    links = []
-    # copy existing crossings 1:1; arcs become junction pairs except the
-    # kinked one, which detours through the new crossing
-    for a, ports in info.arc_ports.items():
-        (c1, s1), (c2, s2) = ports
-        t1, t2 = ("p", c1, s1), ("p", c2, s2)
-        if a != arc:
-            links.append((t1, t2))
-    k = len(pd.crossings)
+    # every other arc keeps its ports; the kinked one detours through a
+    # new crossing k: in under at slot 0, out at slot 2 on a loop back in
+    # over, and out by the last slot.  The loop enters at slot 3 for a
+    # positive curl, at slot 1 for a negative one.
+    k = 4 * len(pd.crossings)
+    glue = list(info.far) + [0] * 4
     (c1, s1), (c2, s2) = info.arc_ports[arc]
-    # the kink crossing: strand enters under at slot 0, loops from slot 2
-    # around to one over slot; which over slot fixes the sign.
-    # positive: over passage enters at slot 3 (so loop joins 2 to 3);
-    # negative: over passage enters at slot 1 (loop joins 2 to 1... the
-    # loop connects the under exit to the over ENTRY side).
-    if positive:
-        loop = (("p", k, 2), ("p", k, 3))
-        in_slot, out_slot = 0, 1
-    else:
-        loop = (("p", k, 2), ("p", k, 1))
-        in_slot, out_slot = 0, 3
-    links.append(loop)
-    links.append((("p", c1, s1), ("p", k, in_slot)))
-    links.append((("p", k, out_slot), ("p", c2, s2)))
-    return emit_pd(k + 1, links, pd.extra_circles)
+    loop, out = (k + 3, k + 1) if positive else (k + 1, k + 3)
+    for p, q in ((4 * c1 + s1, k), (out, 4 * c2 + s2), (k + 2, loop)):
+        glue[p], glue[q] = q, p
+    return _label(glue, pd.extra_circles)[0]

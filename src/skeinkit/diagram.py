@@ -9,8 +9,11 @@ component (wrapping at the component's maximum back to its minimum).
 This module handles everything that is purely diagrammatic:
 
 * parsing and validation (:func:`parse_pd`, :func:`analyze`),
-* orientation, crossing signs, writhe, and the genus of the code's
-  embedding (0 for a planar diagram, :func:`genus`),
+* orientation, crossing signs and writhe, from one walk of each strand,
+  and the port array ``DiagramInfo.far`` (port 4c+s, slot s of crossing
+  c, to the other end of its arc) that the functions below share,
+* the genus of the code's embedding (0 for a planar diagram,
+  :func:`genus`),
 * smoothing states and their circle counts (:func:`apply_state`),
 * the touch-graph of a state and adequacy decisions (:func:`adequacy`),
 * mirror images,
@@ -30,7 +33,7 @@ from __future__ import annotations
 import functools
 import os
 import re
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import BudgetError, InternalError, PDError
 
@@ -111,7 +114,6 @@ def parse_pd(text: str) -> PDCode:
     circles = 0
     for rawline in text.splitlines():
         line = rawline.split("#", 1)[0]
-        pos = 0
         for m in _TOKEN.finditer(line):
             if m.group(5):
                 circles += 1
@@ -135,41 +137,30 @@ def format_pd(pd: PDCode) -> str:
     return " ".join(toks)
 
 
-class Component(NamedTuple):
-    """One oriented link component.
-
-    ``arcs[i]`` enters the crossing of ``passages[i]``; the passage exits
-    into ``arcs[(i+1) % len]``.  Each passage is (crossing index,
-    entry position, exit position) with positions in 0..3.
-    """
-
-    arcs: tuple[int, ...]
-    passages: tuple[tuple[int, int, int], ...]
-
-
 class DiagramInfo(NamedTuple):
-    """Validated structural data for a PD code."""
+    """Validated structural data for a PD code.
+
+    ``arc_ports[a]`` holds the two (crossing, slot) ends of arc a in scan
+    order.  ``components`` holds each component's arcs in label order,
+    components ordered by their lowest label, and ``comp_of_arc[a]`` is
+    the index of a's component.  ``over_entry[c]`` is the slot (1 or 3)
+    where the over-strand enters crossing c; ``signs[c]`` is +1 exactly
+    when it is 3.  ``far`` is the port array: port 4c+s (slot s of
+    crossing c) maps to the port at the other end of its arc.
+    """
 
     pd: PDCode
     arc_ports: dict
-    components: tuple[Component, ...]
-    over_entry: tuple[int, ...]      # per crossing: 1 or 3
-    signs: tuple[int, ...]           # per crossing: +1 or -1
+    components: tuple[tuple[int, ...], ...]
+    over_entry: tuple[int, ...]
+    signs: tuple[int, ...]
     writhe: int
     comp_of_arc: dict
+    far: tuple[int, ...]
 
     @property
     def total_components(self) -> int:
         return len(self.components) + self.pd.extra_circles
-
-
-def _port_scan(pd: PDCode) -> dict:
-    """arc label -> list of (crossing, position) occurrences, in scan order."""
-    occ: dict[int, list[tuple[int, int]]] = {}
-    for ci, cr in enumerate(pd.crossings):
-        for pos, arc in enumerate(cr):
-            occ.setdefault(arc, []).append((ci, pos))
-    return occ
 
 
 @functools.lru_cache(maxsize=512)
@@ -181,130 +172,70 @@ def analyze(pd: PDCode) -> DiagramInfo:
     labels, and orientation must enter each crossing's under-strand at the
     first tuple position.
     """
-    occ = _port_scan(pd)
     n = len(pd.crossings)
     if n == 0 and pd.extra_circles == 0:
         raise PDError("empty diagram: no crossings and no circles")
-    for arc, ports in occ.items():
-        if len(ports) != 2:
+    labels = [a for cr in pd.crossings for a in cr]     # per port 4c+s
+    ends: dict[int, list[int]] = {}
+    for p, a in enumerate(labels):
+        ends.setdefault(a, []).append(p)
+    far = [0] * (4 * n)
+    for a, ps in ends.items():
+        if len(ps) != 2:
             raise PDError(
-                f"arc {arc} appears {len(ports)} times; every arc label "
+                f"arc {a} appears {len(ps)} times; every arc label "
                 f"must occur exactly twice")
+        far[ps[0]], far[ps[1]] = ps[1], ps[0]
 
-    # --- walk unoriented strands -------------------------------------
-    seen: set[int] = set()
-    raw_components = []
-    for arc in sorted(occ):
-        if arc in seen:
-            continue
-        # walk forward: we ENTER the crossing at the arc's first occurrence
-        arcs = [arc]
-        enters = [occ[arc][0]]
-        seen.add(arc)
-        while True:
-            ci, pos = enters[-1]
-            exit_pos = pos ^ 2
-            nxt = pd.crossings[ci][exit_pos]
-            # the next entry is the OTHER occurrence of nxt (kink arcs
-            # reuse the crossing, but never the same position)
-            p1, p2 = occ[nxt]
-            nxt_entry = p2 if p1 == (ci, exit_pos) else p1
-            if nxt == arcs[0] and nxt_entry == enters[0]:
-                break
-            arcs.append(nxt)
-            enters.append(nxt_entry)
-            seen.add(nxt)
-        raw_components.append((arcs, enters))
-
-    # --- orient each component by its labels -------------------------
+    # walk each strand once from its lowest label, entering a crossing
+    # where that label first occurs; the reverse walk enters each
+    # crossing at the slot opposite
+    over_entry = [0] * n
     components = []
-    for arcs, enters in raw_components:
-        lo = min(arcs)
-        size = len(arcs)
-        want = [lo + i for i in range(size)]
-        start = arcs.index(lo)
-        fwd = [arcs[(start + i) % size] for i in range(size)]
-        bwd = [arcs[(start - i) % size] for i in range(size)]
-        ok_f, ok_b = fwd == want, bwd == want
-        if not ok_f and not ok_b:
-            raise PDError(
-                f"component containing arc {lo} has non-consecutive labels "
-                f"{sorted(arcs)} along the strand")
-
-        def passages_for(direction):
-            # direction +1: walk as recorded; -1: reversed (swap entry/exit)
-            out_arcs, out_pass = [], []
-            for i in range(size):
-                if direction == 1:
-                    j = (start + i) % size
-                    ci, pos = enters[j]
-                    out_arcs.append(arcs[j])
-                    out_pass.append((ci, pos, pos ^ 2))
-                else:
-                    j = (start - i) % size
-                    # arc arcs[j] was ENTERED at enters[j] walking forward;
-                    # walking backward it enters where the previous forward
-                    # passage exited: the other end of the arc.
-                    ci, pos = enters[(j - 1) % size]
-                    out_arcs.append(arcs[j])
-                    out_pass.append((ci, pos ^ 2, pos))
-            return out_arcs, out_pass
-
-        def under_violations(pss):
-            return sum(1 for _, p, _ in pss if p == 2)
-
-        choice = None
-        if ok_f and ok_b:
-            # ambiguous run (short component): anchor at an under-passage
-            fa, fp = passages_for(1)
-            ba, bp = passages_for(-1)
-            vf, vb = under_violations(fp), under_violations(bp)
-            if vf == 0:
-                choice = (fa, fp)
-            elif vb == 0:
-                choice = (ba, bp)
-            else:
+    comp_of_arc: dict[int, int] = {}
+    for lo in sorted(ends):
+        if lo in comp_of_arc:
+            continue
+        enters = [ends[lo][0]]
+        p = far[enters[0] ^ 2]
+        while p != enters[0]:
+            enters.append(p)
+            p = far[p ^ 2]
+        walk = [labels[p] for p in enters]
+        arcs = list(range(lo, lo + len(walk)))
+        keep, rev = walk == arcs, walk[:1] + walk[:0:-1] == arcs
+        slots = [p & 3 for p in enters]
+        if keep and rev:        # at most two arcs: labels fit either way
+            if 0 in slots and 2 in slots:
                 raise PDError(
                     f"component containing arc {lo}: no orientation enters "
                     f"all its under-crossings at the first position")
-        elif ok_f:
-            choice = passages_for(1)
-        else:
-            choice = passages_for(-1)
-        c_arcs, c_pass = choice
-        if under_violations(c_pass):
+            keep = 2 not in slots
+        elif not (keep or rev):
+            raise PDError(
+                f"component containing arc {lo} has non-consecutive labels "
+                f"{sorted(walk)} along the strand")
+        flip = 0 if keep else 2
+        if flip ^ 2 in slots:   # an under-strand entered at slot 2
             raise PDError(
                 f"component containing arc {lo}: labels orient the strand "
                 f"against an under-crossing entry")
-        components.append(Component(tuple(c_arcs), tuple(c_pass)))
-
-    # --- signs --------------------------------------------------------
-    over_entry = [0] * n
-    under_seen = [False] * n
-    comp_of_arc = {}
-    for k, comp in enumerate(components):
-        for a in comp.arcs:
-            comp_of_arc[a] = k
-        for ci, p, _ in comp.passages:
-            if p == 0:
-                under_seen[ci] = True
-            elif p in (1, 3):
-                over_entry[ci] = p
-            else:  # p == 2 cannot survive validation above
-                raise InternalError("unoriented under passage")
-    for ci in range(n):
-        if not under_seen[ci] or over_entry[ci] == 0:
-            raise PDError(
-                f"crossing {ci} is not traversed once under and once over")
+        for p in enters:
+            if p & 1:
+                over_entry[p >> 2] = (p & 3) ^ flip
+        comp_of_arc.update(dict.fromkeys(arcs, len(components)))
+        components.append(tuple(arcs))
     signs = tuple(1 if p == 3 else -1 for p in over_entry)
     return DiagramInfo(
         pd=pd,
-        arc_ports={a: tuple(ps) for a, ps in occ.items()},
+        arc_ports={a: ((p >> 2, p & 3), (q >> 2, q & 3))
+                   for a, (p, q) in ends.items()},
         components=tuple(components),
         over_entry=tuple(over_entry),
         signs=signs,
         writhe=sum(signs),
         comp_of_arc=comp_of_arc,
+        far=tuple(far),
     )
 
 
@@ -320,21 +251,17 @@ def genus(pd: PDCode) -> int:
     piece: crossings - arcs + faces = 2 - 2g, with two arcs per crossing
     and the faces traced by turning to the next port counterclockwise.
     """
-    analyze(pd)
-    other = {}
-    for (c1, s1), (c2, s2) in _port_scan(pd).values():
-        other[c1, s1] = (c2, s2)
-        other[c2, s2] = (c1, s1)
+    far = analyze(pd).far
     faces = 0
-    seen = set()
-    for dart in other:
-        if dart in seen:
+    seen = bytearray(len(far))
+    for dart in range(len(far)):
+        if seen[dart]:
             continue
         faces += 1
-        while dart not in seen:
-            seen.add(dart)
-            c, s = other[dart]
-            dart = (c, (s + 1) % 4)
+        while not seen[dart]:
+            seen[dart] = 1
+            x = far[dart]       # on to the next slot counterclockwise
+            dart = (x & ~3) | ((x + 1) & 3)
     root = list(range(len(pd.crossings)))
 
     def find(x):
@@ -342,8 +269,8 @@ def genus(pd: PDCode) -> int:
             root[x] = x = root[root[x]]
         return x
 
-    for (c1, _), (c2, _) in other.items():
-        root[find(c1)] = find(c2)
+    for p, q in enumerate(far):
+        root[find(p >> 2)] = find(q >> 2)
     pieces = len({find(c) for c in root})
     return (2 * pieces + len(pd.crossings) - faces) // 2
 
@@ -398,7 +325,7 @@ class StateCircles(NamedTuple):
 def apply_state(pd: PDCode, state: Sequence[str]) -> StateCircles:
     """Smooth every crossing according to ``state`` and count circles."""
     s = _check_state(pd, state)
-    analyze(pd)
+    far = analyze(pd).far
     n = len(pd.crossings)
     parent = list(range(4 * n))
 
@@ -413,10 +340,9 @@ def apply_state(pd: PDCode, state: Sequence[str]) -> StateCircles:
         if rx != ry:
             parent[rx] = ry
 
-    occ = _port_scan(pd)
-    for ports in occ.values():
-        (c1, p1), (c2, p2) = ports
-        union(4 * c1 + p1, 4 * c2 + p2)
+    for p, q in enumerate(far):
+        if p < q:
+            union(p, q)
     for ci, ch in enumerate(s):
         if ch == "A":
             union(4 * ci + 0, 4 * ci + 1)
@@ -503,15 +429,15 @@ def emit_pd(num_nodes: int,
     for t, u in links:
         adj.setdefault(t, []).append(u)
         adj.setdefault(u, []).append(t)
-    for t, nbrs in adj.items():
-        limit = 1 if (isinstance(t, tuple) and len(t) == 3 and t[0] == "p") \
-            else 2
-        if len(nbrs) != limit:
-            raise InternalError(
-                f"terminal {t!r} has degree {len(nbrs)}, expected {limit}")
 
     def is_port(t):
         return isinstance(t, tuple) and len(t) == 3 and t[0] == "p"
+
+    for t, nbrs in adj.items():
+        limit = 1 if is_port(t) else 2
+        if len(nbrs) != limit:
+            raise InternalError(
+                f"terminal {t!r} has degree {len(nbrs)}, expected {limit}")
 
     # contract junction chains into port-to-port glue
     glue: dict = {}
@@ -639,9 +565,7 @@ def cable_multi(pd: PDCode, mults: Sequence[int],
         if ru and ro:
             nodes += ru * ro
             gridded.update((info.comp_of_arc[cr[0]], info.comp_of_arc[cr[1]]))
-    far = [0] * (4 * len(crossings))    # 4*c + s -> 4*c' + s', its arc's
-    for (c1, s1), (c2, s2) in info.arc_ports.values():     # other end
-        far[4 * c1 + s1], far[4 * c2 + s2] = 4 * c2 + s2, 4 * c1 + s1
+    far = info.far
 
     def enter(c, s, k):
         """The grid port where copy k (counted counterclockwise round c)

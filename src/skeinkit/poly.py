@@ -106,9 +106,6 @@ class LaurentPoly:
             raise DegreeError("degree of the zero polynomial is undefined")
         return self.terms[-1][0]
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(e for e, _ in self.terms)
-
     # -- arithmetic ------------------------------------------------------
 
     @staticmethod
@@ -174,10 +171,6 @@ class LaurentPoly:
             if n:
                 base = base * base
         return out
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by A^k."""
-        return LaurentPoly(tuple((e + k, c) for e, c in self.terms))
 
     def mirror(self) -> "LaurentPoly":
         """Substitute A -> A^-1."""

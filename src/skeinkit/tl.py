@@ -58,7 +58,9 @@ class Matching:
     """A crossingless pairing of n bottom with n top boundary points.
 
     ``partner[p]`` is the point paired with p.  Planarity (no two pairs
-    interleaving in the boundary circle) is enforced at construction.
+    interleaving in the boundary circle) is enforced at construction;
+    products, partial traces and projector extensions, whose results
+    are planar by construction, build theirs with :meth:`_trusted`.
     """
 
     n: int
@@ -81,6 +83,15 @@ class Matching:
                 stack.append(pt)
         if stack:
             raise PDError("matching is not planar")
+
+    @classmethod
+    def _trusted(cls, n: int, partner: tuple[int, ...]) -> "Matching":
+        """A matching whose partner array is already known to be a planar
+        involution, such as a surgery result: the checks are skipped."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "n", n)
+        object.__setattr__(m, "partner", partner)
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "Matching":
@@ -162,7 +173,7 @@ def compose(m1: Matching, m2: Matching) -> tuple[Matching, int]:
     frame = _stacking(n)        # first: it raises past 64 strands
     p = bytearray(m1.partner) + bytes(2 * n + j for j in m2.partner)
     key, loops = _surgery(p, *frame)
-    return Matching(n, tuple(key)), loops
+    return Matching._trusted(n, tuple(key)), loops
 
 
 @functools.lru_cache(maxsize=None)
@@ -315,7 +326,7 @@ def jones_wenzl(n: int) -> TLElement:
             gj = j if j < n - 1 else j + 1
             part[gi] = gj
         part[n - 1], part[2 * n - 1] = 2 * n - 1, n - 1
-        ext[Matching(n, tuple(part))] = c
+        ext[Matching._trusted(n, tuple(part))] = c
     e = TLElement._of_nums(n, ext, prev.den)
     ehe = e * TLElement.of_matching(hook(n, n - 1)) * e
     out = {m: c * delta(n - 1) for m, c in e.nums}
@@ -341,7 +352,7 @@ def partial_trace(el: TLElement) -> TLElement:
     for m, c in el.nums:
         key, loops = _surgery(bytearray(m.partner), closures, dead, table)
         c = c * delta(1) if loops else c
-        mm = Matching(n - 1, tuple(key))
+        mm = Matching._trusted(n - 1, tuple(key))
         out[mm] = out[mm] + c if mm in out else c
     return TLElement._of_nums(n - 1, out, el.den)
 

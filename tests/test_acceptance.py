@@ -8,6 +8,7 @@ resource budget and reports a miss instead of failing.
 
 import itertools
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import time
 from oracles import (
     SIX_TWO_ROWS, SIX_TWO_TAIL_5, bfs_word_lengths, q_series_from_json,
 )
+import skeinkit
 from skeinkit.cli import main
 from skeinkit.construct import twist_closure
 from skeinkit.diagram import (
@@ -32,6 +34,9 @@ from skeinkit.tl import (
     min_word_length, network_evaluate, partial_trace, theta_network,
     trace_network,
 )
+
+# child processes import skeinkit from the tree this run imports
+SRC = os.path.dirname(os.path.dirname(skeinkit.__file__))
 
 CRITERIA = {
     1: "two-color row of the six-crossing benchmark via the CLI, under 1s",
@@ -199,7 +204,8 @@ def test_criterion_10_soft_resource_budget(colored):
     )
     try:
         proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, timeout=600)
+                              capture_output=True, text=True, timeout=600,
+                              env={**os.environ, "PYTHONPATH": SRC})
     except subprocess.TimeoutExpired:
         SOFT_NOTES[10] = "missed the 10-minute budget"
         return
@@ -222,7 +228,8 @@ def test_criterion_11_soft_tail_budget():
     t0 = time.monotonic()
     try:
         proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, timeout=600)
+                              capture_output=True, text=True, timeout=600,
+                              env={**os.environ, "PYTHONPATH": SRC})
     except subprocess.TimeoutExpired:
         SOFT_NOTES[11] = "missed the 10-minute timeout"
         return

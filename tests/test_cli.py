@@ -11,11 +11,15 @@ import pytest
 from oracles import (
     TORUS_3_4_WORD, a_polynomial_from_json, braid_closure, q_series_from_json,
 )
+import skeinkit
 from skeinkit.cli import a_polynomial_json, main, q_series_json
 from skeinkit.diagram import cable, catalog_lookup, catalog_names, format_pd
 from skeinkit.errors import BudgetError
 from skeinkit.jones import jones_polynomial, reduced_colored
 from skeinkit.poly import LaurentPoly
+
+# child processes import skeinkit from the tree this run imports
+SRC = os.path.dirname(os.path.dirname(skeinkit.__file__))
 
 
 def run(capsys, *argv):
@@ -204,7 +208,8 @@ def _cli(*argv):
     """Run the CLI in a fresh process, so that no invariant cached by an
     earlier test answers at once."""
     return subprocess.run([sys.executable, "-m", "skeinkit.cli", *argv],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": SRC})
 
 
 def test_import_loads_only_what_every_subcommand_needs():
@@ -213,8 +218,6 @@ def test_import_loads_only_what_every_subcommand_needs():
     tail for tail and verify-stability, tl and construct for none.  With
     -S, where no site hook has loaded it first, it adds no
     importlib.resources either: the catalog is read by its path."""
-    import skeinkit
-    src = os.path.dirname(os.path.dirname(skeinkit.__file__))
     script = ("import sys\n"
               "before = set(sys.modules)\n"
               "import skeinkit.cli\n"
@@ -223,7 +226,7 @@ def test_import_loads_only_what_every_subcommand_needs():
         proc = subprocess.run([sys.executable, *flags, "-c", script],
                               check=True, capture_output=True, text=True,
                               timeout=60,
-                              env={**os.environ, "PYTHONPATH": src})
+                              env={**os.environ, "PYTHONPATH": SRC})
         loaded = set(proc.stdout.split())
         assert {"skeinkit.cli", "skeinkit.diagram",
                 "skeinkit.jones"} <= loaded, flags

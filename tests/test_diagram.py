@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,6 +55,32 @@ def test_analyze_rejects_unbalanced_arcs():
         analyze(parse_pd("X[1,1,1,1]"))
     with pytest.raises(PDError):
         analyze(parse_pd("X[9,4,1,3] X[4,2,5,1] X[2,6,3,5]"))
+
+
+@pytest.mark.parametrize("crossings, message", [
+    ((), "empty diagram: no crossings and no circles"),
+    (((1, 1, 1, 1),), "arc 1 appears 4 times; every arc label must occur "
+                      "exactly twice"),
+    (((3, 1, 1, 2), (3, 2, 4, 4)), "component containing arc 1 has "
+     "non-consecutive labels [1, 2, 3, 4] along the strand"),
+    (((2, 1, 1, 4), (2, 4, 3, 3)), "component containing arc 1: labels "
+     "orient the strand against an under-crossing entry"),
+    (((1, 4, 2, 4), (1, 3, 2, 3)), "component containing arc 1: no "
+     "orientation enters all its under-crossings at the first position"),
+])
+def test_analyze_names_each_fault(crossings, message):
+    with pytest.raises(PDError, match=f"^{re.escape(message)}$"):
+        analyze(PDCode(crossings))
+
+
+def test_only_the_walk_orients_a_two_arc_over_strand():
+    # the planar two-crossing unlink: the over component (arcs 3, 4)
+    # passes under nothing, so its labels fit either direction and no
+    # under-entry anchors it; flipping it would flip both signs, which
+    # writhe cannot see
+    info = analyze(parse_pd("X[1,3,2,4] X[2,3,1,4]"))
+    assert info.components == ((1, 2), (3, 4))
+    assert info.signs == (-1, 1)
 
 
 def test_trefoil_structure():

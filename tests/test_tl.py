@@ -46,6 +46,15 @@ def test_matching_validation():
         Matching(2, (3, 2, 1, 0))       # chords cross inside the disc
 
 
+def test_unchecked_results_pass_the_checks():
+    # products, partial traces and projector extensions skip validation
+    for n in range(1, 6):
+        f = jones_wenzl(n)
+        for el in (f, partial_trace(f), f * f):
+            for m, _ in el.nums:
+                assert Matching(m.n, m.partner) == m
+
+
 def test_hook_relations():
     n = 4
     for i in range(1, n):
