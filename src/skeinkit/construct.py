@@ -1,10 +1,10 @@
 """Programmatic diagram builders: twist regions, rational tangles, kinks.
 
-Tangles are assembled abstractly (crossings with counterclockwise port
-cycles, wired by terminals) and serialized to PD codes through
-:func:`skeinkit.diagram.emit_pd`, which assigns consistent arc labels.
-:func:`with_kink` instead wires its curl into a copy of the diagram's
-port array (``DiagramInfo.far``) and labels that directly.
+Tangles are labelled like :func:`with_kink`: both wire their crossings
+into a port array (port 4i+s, slot s of crossing i, to the port joined
+to it; :func:`with_kink` starts from a copy of ``DiagramInfo.far``) and
+label it with ``diagram._label``, the strand walk that
+:func:`skeinkit.diagram.cable_multi` uses too.
 
 A :class:`TangleBuilder` holds a 2-string tangle with four boundary ends
 (nw, ne, sw, se).  Starting from the 0-tangle (two horizontal strands),
@@ -20,72 +20,75 @@ in a readable way.
 
 from __future__ import annotations
 
-import dataclasses
-import itertools
 from typing import Sequence
 
-from .diagram import PDCode, _label, analyze, emit_pd
+from .diagram import PDCode, _label, analyze
 from .errors import PDError
 
 
-@dataclasses.dataclass
+# the four boundary corners, counterclockwise
+NW, SW, SE, NE = range(4)
+
+
+def _join(glue: list[int], ends: list[int], x: int, y: int) -> None:
+    """Join two strand ends, each a port or ~k for corner k at the far
+    end of a strand that crosses nothing."""
+    if x >= 0 and y >= 0:
+        glue[x], glue[y] = y, x
+    else:
+        if x < 0:
+            ends[~x] = y
+        if y < 0:
+            ends[~y] = x
+
+
 class TangleBuilder:
     """A 2-string tangle under construction.
 
-    ``links`` wires node ports ("p", i, slot) and junction terminals;
-    the four boundary attributes hold terminals that still need their
-    second connection (made by a closure).
+    ``glue[4*i + s]`` is the port joined to slot s of crossing i, once
+    both ends of that arc lie on crossings.  ``ends[k]`` is the port at
+    the other end of the strand from corner k (NW, SW, SE or NE), or ~j
+    on a strand that crosses nothing yet and ends at corner j.
     """
 
-    nodes: int = 0
-    links: list = dataclasses.field(default_factory=list)
-    nw: object = None
-    ne: object = None
-    sw: object = None
-    se: object = None
-    _fresh: "itertools.count" = dataclasses.field(
-        default_factory=itertools.count)
+    def __init__(self, ends: list[int]):
+        self.glue: list[int] = []
+        self.ends = ends
 
     @classmethod
     def zero(cls) -> "TangleBuilder":
         """The 0-tangle: nw--ne and sw--se strands, no crossings."""
-        t = cls()
-        t.nw, t.ne = ("j", next(t._fresh)), ("j", next(t._fresh))
-        t.sw, t.se = ("j", next(t._fresh)), ("j", next(t._fresh))
-        t.links.append((t.nw, t.ne))
-        t.links.append((t.sw, t.se))
-        return t
+        return cls([~NE, ~SE, ~SW, ~NW])
 
     @classmethod
     def infinity(cls) -> "TangleBuilder":
         """The infinity-tangle: nw--sw and ne--se strands, no crossings."""
-        t = cls()
-        t.nw, t.ne = ("j", next(t._fresh)), ("j", next(t._fresh))
-        t.sw, t.se = ("j", next(t._fresh)), ("j", next(t._fresh))
-        t.links.append((t.nw, t.sw))
-        t.links.append((t.ne, t.se))
-        return t
+        return cls([~SW, ~NW, ~NE, ~SE])
+
+    def _twist(self, hand: int, pairs) -> "TangleBuilder":
+        """Add a crossing whose port at corner c joins this tangle's end
+        at corner k, for each (c, k) in ``pairs``; its ports at those
+        corners k become the tangle's new ends there."""
+        if hand not in (0, 1):
+            raise PDError("hand must be 0 or 1")
+        p = len(self.glue)
+        self.glue += [-1] * 4
+        # the crossing's port at each corner: slot 0 at SW, or SE for hand 1
+        port = [p + (k - 1 - hand) % 4 for k in range(4)]
+        for c, k in pairs:
+            _join(self.glue, self.ends, port[c], self.ends[k])
+        for _, k in pairs:
+            self.ends[k] = port[k]
+        return self
 
     def twist_right(self, hand: int = 0) -> "TangleBuilder":
         """Append one crossing east of the tangle.
 
-        hand=0: over-strand NW-SE (under axis on the SW-NE diagonal,
-        ccw slots SW,SE,NE,NW); hand=1: the mirror.
+        Its west ports join the old ne/se ends; its east ports become
+        the new ones.  hand=0: over-strand NW-SE (under axis on the
+        SW-NE diagonal, ccw slots SW,SE,NE,NW); hand=1: the mirror.
         """
-        i = self.nodes
-        self.nodes += 1
-        if hand == 0:
-            p_sw, p_se = ("p", i, 0), ("p", i, 1)
-            p_ne, p_nw = ("p", i, 2), ("p", i, 3)
-        elif hand == 1:
-            p_se, p_ne = ("p", i, 0), ("p", i, 1)
-            p_nw, p_sw = ("p", i, 2), ("p", i, 3)
-        else:
-            raise PDError("hand must be 0 or 1")
-        self.links.append((p_nw, self.ne))
-        self.links.append((p_sw, self.se))
-        self.ne, self.se = p_ne, p_se
-        return self
+        return self._twist(hand, ((NW, NE), (SW, SE)))
 
     def twist_bottom(self, hand: int = 0) -> "TangleBuilder":
         """Append one crossing south of the tangle (a vertical twist).
@@ -94,36 +97,33 @@ class TangleBuilder:
         ports become the new ones.  Same hand convention as
         :meth:`twist_right`.
         """
-        i = self.nodes
-        self.nodes += 1
-        if hand == 0:
-            p_sw, p_se = ("p", i, 0), ("p", i, 1)
-            p_ne, p_nw = ("p", i, 2), ("p", i, 3)
-        elif hand == 1:
-            p_se, p_ne = ("p", i, 0), ("p", i, 1)
-            p_nw, p_sw = ("p", i, 2), ("p", i, 3)
-        else:
-            raise PDError("hand must be 0 or 1")
-        self.links.append((p_nw, self.sw))
-        self.links.append((p_ne, self.se))
-        self.sw, self.se = p_sw, p_se
-        return self
+        return self._twist(hand, ((NW, SW), (NE, SE)))
 
     def rotate(self) -> "TangleBuilder":
         """Quarter-turn counterclockwise: ne->nw->sw->se->ne."""
-        self.nw, self.ne, self.se, self.sw = \
-            self.ne, self.se, self.sw, self.nw
+        # each end moves on one corner, and so does the corner it names
+        self.ends = [e if e >= 0 else ~((~e + 1) % 4)
+                     for e in self.ends[-1:] + self.ends[:-1]]
         return self
+
+    def _close(self, pairs, extra_circles: int) -> PDCode:
+        """Join the ends at each corner pair in ``pairs`` and label."""
+        glue, ends = self.glue[:], self.ends[:]
+        circles = extra_circles
+        for a, b in pairs:
+            if ends[a] == ~b:       # a strand that crosses nothing closes
+                circles += 1
+            else:
+                _join(glue, ends, ends[a], ends[b])
+        return _label(glue, circles)[0]
 
     def numerator_close(self, extra_circles: int = 0) -> PDCode:
         """Join nw--ne and sw--se around the outside."""
-        links = self.links + [(self.nw, self.ne), (self.sw, self.se)]
-        return emit_pd(self.nodes, links, extra_circles)
+        return self._close(((NW, NE), (SW, SE)), extra_circles)
 
     def denominator_close(self, extra_circles: int = 0) -> PDCode:
         """Join nw--sw and ne--se."""
-        links = self.links + [(self.nw, self.sw), (self.ne, self.se)]
-        return emit_pd(self.nodes, links, extra_circles)
+        return self._close(((NW, SW), (NE, SE)), extra_circles)
 
 
 def twist_closure(m: int, hand: int = 0) -> PDCode:

@@ -17,6 +17,8 @@ This module handles everything that is purely diagrammatic:
 * smoothing states and their circle counts (:func:`apply_state`),
 * the touch-graph of a state and adequacy decisions (:func:`adequacy`),
 * mirror images,
+* labelling a port array into a PD code (``_label``), the one step that
+  turns wired crossings into a code here and in :mod:`skeinkit.construct`,
 * parallel cabling with per-component multiplicities (:func:`cable_multi`),
 * sweep plans: a crossing order and the sweep kernel's program for it,
   optionally with arcs cut open (:func:`plan_sweep`),
@@ -35,7 +37,7 @@ import os
 import re
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import BudgetError, InternalError, PDError
+from .errors import InternalError, PDError
 
 Crossing = tuple[int, int, int, int]
 
@@ -410,73 +412,7 @@ def adequacy(pd: PDCode) -> AdequacyReport:
 
 
 # ---------------------------------------------------------------------------
-# assembling diagrams from abstract crossing data
-
-
-def emit_pd(num_nodes: int,
-            links: Iterable[tuple],
-            extra_circles: int = 0) -> PDCode:
-    """Build a PD code from abstract crossings and wiring.
-
-    Each of the ``num_nodes`` crossings has four ports ``("p", i, s)`` for
-    slots s = 0..3 listed counterclockwise with the under-strand on the
-    0-2 axis.  ``links`` connects terminals pairwise: node ports (each
-    exactly once) and arbitrary hashable junction values (each exactly
-    twice).  Junction chains are contracted; junction-only cycles become
-    crossing-free circles.  Arc labels are assigned by walking the strands.
-    """
-    adj: dict = {}
-    for t, u in links:
-        adj.setdefault(t, []).append(u)
-        adj.setdefault(u, []).append(t)
-
-    def is_port(t):
-        return isinstance(t, tuple) and len(t) == 3 and t[0] == "p"
-
-    for t, nbrs in adj.items():
-        limit = 1 if is_port(t) else 2
-        if len(nbrs) != limit:
-            raise InternalError(
-                f"terminal {t!r} has degree {len(nbrs)}, expected {limit}")
-
-    # contract junction chains into port-to-port glue
-    glue: dict = {}
-    visited: set = set()
-    circles = extra_circles
-    for t in adj:
-        if not is_port(t) or t in visited:
-            continue
-        visited.add(t)
-        prev, cur = t, adj[t][0]
-        while not is_port(cur):
-            nxts = [x for x in adj[cur] if x != prev]
-            if not nxts:  # a junction linked twice to the same neighbor
-                nxts = [adj[cur][1]] if adj[cur][0] == prev else [adj[cur][0]]
-            visited.add(cur)
-            prev, cur = cur, nxts[0]
-        visited.add(cur)
-        glue[t] = cur
-        glue[cur] = t
-    # leftover junction-only cycles are free circles
-    junk = [t for t in adj if not is_port(t) and t not in visited]
-    seen: set = set()
-    for t in junk:
-        if t in seen:
-            continue
-        seen.add(t)
-        prev, cur = t, adj[t][0]
-        while cur != t:
-            seen.add(cur)
-            nxts = [x for x in adj[cur] if x != prev]
-            prev, cur = cur, (nxts[0] if nxts else adj[cur][0])
-        circles += 1
-
-    expected_ports = {("p", i, s) for i in range(num_nodes) for s in range(4)}
-    if set(glue) != expected_ports:
-        missing = expected_ports - set(glue)
-        raise InternalError(f"unwired crossing ports: {sorted(missing)[:4]}")
-    ports = [glue["p", i, s] for i in range(num_nodes) for s in range(4)]
-    return _label([4 * j + s for _, j, s in ports], circles)[0]
+# diagrams from port arrays: labelling and cables
 
 
 def _label(glue: list[int], circles: int) -> tuple[PDCode, list[int]]:
@@ -649,7 +585,6 @@ class SweepPlan(NamedTuple):
 
 def plan_sweep(pd: PDCode,
                order: Optional[Sequence[int]] = None,
-               max_width: int = MAX_WIDTH,
                cut: Iterable[int] = ()) -> SweepPlan:
     """Choose a crossing order and compile it into the kernel's program.
 
@@ -658,8 +593,8 @@ def plan_sweep(pd: PDCode,
     the lowest index on a tie.  The arcs labelled in ``cut`` are cut
     open: each of their two ends opens when its crossing is inserted and
     stays open to the end.  Raises PDError when a label in ``cut`` is
-    not an arc of ``pd``, and BudgetError when the peak width exceeds
-    ``max_width``.
+    not an arc of ``pd``.  The plan's ``max_width`` is its peak width,
+    which callers check against their budget.
     """
     info = analyze(pd)
     n = len(pd.crossings)
@@ -741,9 +676,6 @@ def plan_sweep(pd: PDCode,
     identity = bytearray(len(open_ends))
     for i, j in halves.values():
         identity[i], identity[j] = j, i
-    if peak > max_width:
-        raise BudgetError("max_width", max_width, needed=peak,
-                          detail="try another crossing order")
     return SweepPlan(order=tuple(chosen), program=tuple(program),
                      max_width=peak, identity=bytes(identity))
 

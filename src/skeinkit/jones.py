@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from typing import Optional
 
 from . import diagram
@@ -36,6 +35,13 @@ from ._kernel import run_packed
 from .errors import BudgetError, ExactnessError, InternalError, SkeinError
 from .poly import LaurentPoly, ONE, ZERO, exact_divide
 from .quantum import delta, gamma
+
+
+def _check_width(needed: int, max_width: int) -> None:
+    """Refuse a sweep whose plan is wider than the budget."""
+    if needed > max_width:
+        raise BudgetError("max_width", max_width, needed=needed,
+                          detail="try another crossing order")
 
 
 def _swept(pd: diagram.PDCode, floor: Optional[int], max_width: int,
@@ -46,7 +52,8 @@ def _swept(pd: diagram.PDCode, floor: Optional[int], max_width: int,
     (each cut arc joined up again).  Then multiplies in delta for each
     crossing-free circle."""
     if plan is None and pd.crossings:
-        plan = diagram.plan_sweep(pd, max_width=max_width)
+        plan = diagram.plan_sweep(pd)
+        _check_width(plan.max_width, max_width)
     extra = pd.extra_circles
     # the circles outside the sweep reach 2*extra above the swept terms
     base, coeffs = run_packed(
@@ -177,11 +184,8 @@ def _long_knot(pd: diagram.PDCode, n: int, max_width: int,
     """
     sweeps = _long_knot_sweeps(pd, n)
     # every plan is checked before any sweep
-    needed = max((plan.max_width for _, _, plan in sweeps if plan),
-                 default=0)
-    if needed > max_width:
-        raise BudgetError("max_width", max_width, needed=needed,
-                          detail="try another crossing order")
+    _check_width(max((plan.max_width for _, _, plan in sweeps if plan),
+                     default=0), max_width)
     return sum((weight * _swept(cabled, floor, max_width, plan)
                 for weight, cabled, plan in sweeps), ZERO)
 
@@ -209,11 +213,9 @@ def _long_knot_sweeps(pd: diagram.PDCode, n: int):
             if copies[arc] is None:
                 mults[k] = 0
                 cabled = diagram.cable_multi(pd, mults)
-                plan = diagram.plan_sweep(cabled, max_width=math.inf) \
-                    if cabled.crossings else None
+                plan = diagram.plan_sweep(cabled) if cabled.crossings else None
             else:
-                plan = diagram.plan_sweep(cabled, max_width=math.inf,
-                                          cut=copies[arc])
+                plan = diagram.plan_sweep(cabled, cut=copies[arc])
         out.append((weight, cabled, plan))
     return tuple(out)
 
@@ -228,17 +230,16 @@ def _cut_arc(pd: diagram.PDCode, n: int):
     narrowest.
     """
     steps = {}
-    for t, ci in enumerate(diagram.plan_sweep(pd, max_width=math.inf).order):
+    for t, ci in enumerate(diagram.plan_sweep(pd).order):
         for a in set(pd.crossings[ci]):
             steps.setdefault(a, []).append(t)
     copies = {}
     cabled = diagram.cable_multi(
         pd, [n] * diagram.analyze(pd).total_components, copies)
-    closed = diagram.plan_sweep(cabled, max_width=math.inf).max_width
+    closed = diagram.plan_sweep(cabled).max_width
     best = None
     for arc in sorted(steps, key=lambda a: (steps[a][0] - steps[a][-1], a)):
-        plan = diagram.plan_sweep(cabled, max_width=math.inf,
-                                  cut=copies[arc])
+        plan = diagram.plan_sweep(cabled, cut=copies[arc])
         if plan.max_width <= closed:
             return arc, cabled, plan
         if best is None or plan.max_width < best[1].max_width:

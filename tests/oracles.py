@@ -7,9 +7,9 @@ long division from the top for windowed quotients, the expansion of a
 closed projector network into every combination of box terms, a walk
 over the graph of two stacked matchings and a reindexing that closes a
 strand of one (for ``tl.compose`` and ``tl.partial_trace``, which run
-the sweep kernel's surgery), and the earlier builders of sweep plans
-and cables (a greedy loop that rescores every crossing at each step,
-and a cable wired through a junction graph).
+the sweep kernel's surgery), and the earlier builders of sweep plans,
+cables and tangles (a greedy loop that rescores every crossing at each
+step, and cables and tangles wired through a junction graph).
 The CLI's JSON polynomials are read back by the inverses of its schema.
 ``certified_top`` is not independent: it reads the kernel's own degree
 bound from ``_sweep_py._all_a_cuts``, which the window tests need.
@@ -481,9 +481,16 @@ def greedy_plan(pd: PDCode, order=None, cut=()) -> SweepPlan:
 
 
 def emit_labelled(num_nodes, links, extra_circles):
-    """``diagram.emit_pd`` by contracting the junction graph of ``links``,
-    also returning {junction: label of its arc} for every junction that
-    lies on an arc (not on a crossing-free circle)."""
+    """The PD code of ``num_nodes`` crossings wired by ``links``, and
+    {junction: label of its arc} for every junction that lies on an arc
+    (not on a crossing-free circle).
+
+    ``links`` joins terminals pairwise: the ports ("p", i, s) of the
+    crossings, each once, and other hashable junctions, each twice.
+    Junction chains are contracted, junction-only cycles become
+    crossing-free circles, and arcs are labelled by the walk of
+    ``diagram._label``.
+    """
     adj: dict = {}
     for t, u in links:
         adj.setdefault(t, []).append(u)
@@ -606,6 +613,40 @@ def cable_links(pd: PDCode, mults):
             links.append((("t", c1, s1, k), ("t", c2, s2, r - 1 - k)))
     extra = sum(mults[len(info.components):])
     return nodes, links, extra
+
+
+def tangle_links(start, moves, close, extra_circles=0):
+    """(nodes, links, extra circles) wiring a 2-string tangle through
+    junctions, as ``construct.TangleBuilder`` once did.
+
+    ``start`` is "zero" or "infinity"; ``moves`` lists (name, hand) for
+    the names "twist_right", "twist_bottom" and "rotate" (whose hand is
+    ignored); ``close`` is "numerator" or "denominator".  The four
+    corners start as junctions, and each crossing's ports are linked to
+    the corner ends they meet.
+    """
+    nw, ne, sw, se = (("j", k) for k in range(4))
+    links = [(nw, ne), (sw, se)] if start == "zero" else [(nw, sw), (ne, se)]
+    nodes = 0
+    for move, hand in moves:
+        if move == "rotate":
+            nw, ne, se, sw = ne, se, sw, nw
+            continue
+        ports = [("p", nodes, s) for s in range(4)]
+        nodes += 1
+        if hand == 0:
+            p_sw, p_se, p_ne, p_nw = ports
+        else:
+            p_se, p_ne, p_nw, p_sw = ports
+        if move == "twist_right":
+            links += [(p_nw, ne), (p_sw, se)]
+            ne, se = p_ne, p_se
+        else:
+            links += [(p_nw, sw), (p_ne, se)]
+            sw, se = p_sw, p_se
+    links += ([(nw, ne), (sw, se)] if close == "numerator"
+              else [(nw, sw), (ne, se)])
+    return nodes, links, extra_circles
 
 
 def linked_cable(pd: PDCode, mults):

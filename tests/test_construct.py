@@ -3,7 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import CATALOG_QUOTIENTS, TangleOracle, rational_bracket
+from oracles import (
+    CATALOG_QUOTIENTS, TangleOracle, emit_labelled, rational_bracket,
+    tangle_links,
+)
 from skeinkit.construct import (
     TangleBuilder, rational_knot, rational_tangle, twist_closure, with_kink,
 )
@@ -65,6 +68,31 @@ def test_rational_bracket_matches_oracle(quotients, hand):
     assert got == rational_bracket(quotients, hand)
 
 
+@settings(max_examples=300)
+@given(st.sampled_from(["zero", "infinity"]),
+       st.lists(st.tuples(st.sampled_from(
+           ["twist_right", "twist_bottom", "rotate"]), st.integers(0, 1)),
+           max_size=12),
+       st.integers(0, 2))
+def test_tangle_labels_match_junction_graph(start, moves, extra):
+    t = getattr(TangleBuilder, start)()
+    for move, hand in moves:
+        if move == "rotate":
+            t.rotate()
+        else:
+            getattr(t, move)(hand)
+    for close in ("numerator", "denominator"):
+        links = tangle_links(start, moves, close, extra)
+        assert getattr(t, close + "_close")(extra) \
+            == emit_labelled(*links)[0], (start, moves, close)
+
+
+def test_twists_reject_a_bad_hand():
+    for twist in (TangleBuilder.twist_right, TangleBuilder.twist_bottom):
+        with pytest.raises(PDError, match="hand must be 0 or 1"):
+            twist(TangleBuilder.zero(), 2)
+
+
 def test_with_kink_scales_bracket():
     for name in ("3_1", "6_2"):
         pd = catalog_lookup(name)
@@ -82,5 +110,5 @@ def test_with_kink_scales_bracket():
 
 
 def test_with_kink_rejects_unknown_arc():
-    with pytest.raises(Exception):
+    with pytest.raises(PDError, match="no arc 99"):
         with_kink(catalog_lookup("3_1"), 99)

@@ -112,8 +112,16 @@ def test_replay_certifies_plan_wiring():
 
 
 def test_bracket_width_budget():
+    pd = catalog_lookup("6_2")
     with pytest.raises(BudgetError):
-        bracket(catalog_lookup("6_2"), max_width=2)
+        bracket(pd, max_width=2)
+    width = plan_sweep(pd).max_width
+    assert bracket(pd, max_width=width) == brute_force_bracket(pd)
+    with pytest.raises(BudgetError) as exc:
+        bracket(pd, max_width=width - 1)
+    assert str(exc.value) == (
+        f"budget 'max_width' exceeded (limit {width - 1}, needed {width}): "
+        "try another crossing order")
 
 
 @pytest.mark.parametrize("name, value", [
