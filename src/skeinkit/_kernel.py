@@ -20,8 +20,8 @@ def pick_kernel():
     return _sweep_py
 
 
-def run_packed(program, floor=None, identity=b""):
+def run_packed(program, floor=None, identity=b"", tick=None):
     """Run a sweep program; with ``identity``, return the coefficient of
-    that matching of the ends the program leaves open; with ``floor``,
-    only the terms of exponent >= floor."""
-    return _sweep_py.run(program, floor=floor, identity=identity)
+    that matching of the ends the program leaves open; with ``floor``, only
+    the terms >= floor; ``tick`` runs at entry and after every step."""
+    return _sweep_py.run(program, floor=floor, identity=identity, tick=tick)

@@ -329,7 +329,7 @@ def _cut_pairs(closer, legs, identity):
     return tuple((i, bytes(sorted(js))) for i, js in bad.items() if js)
 
 
-def run(program, floor=None, identity=b""):
+def run(program, floor=None, identity=b"", tick=None):
     """Execute a sweep program; return the packed bracket (base, coeffs).
 
     The empty diagram gives (0, [1]).  With ``floor``, return only the
@@ -340,7 +340,12 @@ def run(program, floor=None, identity=b""):
     coefficient of the matching ``identity`` of those ends, and drops
     on the way every state that cannot reach it (:func:`_dead_pairs`);
     a floor then applies to that coefficient.
+
+    ``tick``, called with no arguments at entry and after each step,
+    stops the sweep by raising (a time limit needs no import here).
     """
+    if tick:
+        tick()
     states = {b"": (0, [1])}
     dead = _dead_pairs(program, identity) if identity else ()
     cuts = ()
@@ -361,6 +366,8 @@ def run(program, floor=None, identity=b""):
         if cuts:
             reach, pairs = cuts[t]
             states = _prune(states, floor - reach, pairs)
+        if tick:
+            tick()
     if not states:
         return 0, []
     if len(states) != 1 or identity not in states:

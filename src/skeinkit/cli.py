@@ -20,20 +20,22 @@ Two budgets apply: ``--max-width`` (open strand-ends during a sweep,
 an integer >= 0) and ``--time-limit`` (wall-clock seconds, from 0 to
 1e9; 0 means no limit).  SKEINKIT_MAX_WIDTH and SKEINKIT_TIME_LIMIT give
 their defaults; a flag wins over the environment.  A value out of range,
-from either source, is a usage error (exit 2).  Library calls read no
-budget from the environment: they take budgets only as keyword
-arguments, which this module passes down.
+from either source, is a usage error (exit 2).  :func:`main` turns the
+two into one :class:`skeinkit.errors.Budget`, whose deadline is
+``time.monotonic()`` plus the limit, and passes it down.  Library calls
+read no budget from the environment: they take that object only as
+their ``budget=`` keyword, and check its deadline where they work.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import signal
 import sys
+import time
 
 from . import diagram, jones
-from .errors import (BudgetError, InternalError, SkeinError,
+from .errors import (Budget, BudgetError, InternalError, SkeinError,
                      StabilizationError)
 from .poly import LaurentPoly, to_q
 
@@ -100,7 +102,8 @@ def _load_pd(source: str) -> tuple[diagram.PDCode, str]:
     return pd, source
 
 
-# signal.setitimer overflows a 32-bit time_t past about 2.1e9 seconds
+# about 32 years: a longer limit stands for no limit, and the cap keeps
+# inf and overflowing values out of the deadline
 MAX_TIME_LIMIT = 1e9
 
 
@@ -130,28 +133,6 @@ def _time_budget(text: str) -> float:
     return value
 
 
-class _Timeout:
-    """SIGALRM-based wall-clock budget (no-op when the limit is unset)."""
-
-    def __init__(self, seconds):
-        self.seconds = seconds
-
-    def __enter__(self):
-        if self.seconds and hasattr(signal, "setitimer"):
-            def trip(signum, frame):
-                raise BudgetError("time_limit", self.seconds,
-                                  detail="wall-clock limit hit")
-            self._old = signal.signal(signal.SIGALRM, trip)
-            signal.setitimer(signal.ITIMER_REAL, self.seconds)
-        return self
-
-    def __exit__(self, *exc):
-        if self.seconds and hasattr(signal, "setitimer"):
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, self._old)
-        return False
-
-
 def _emit(args, text_lines, payload):
     if args.format == "json":
         import json     # imported here: text output, the default, needs none
@@ -166,8 +147,7 @@ def _emit(args, text_lines, payload):
 
 def _cmd_bracket(args) -> int:
     pd, label = _load_pd(args.source)
-    with _Timeout(args.time_limit):
-        b = jones.bracket(pd, max_width=args.max_width)
+    b = jones.bracket(pd, args.budget)
     _emit(args, [str(b)],
           {"command": "bracket", "input": label,
            "A_polynomial": a_polynomial_json(b)})
@@ -176,8 +156,7 @@ def _cmd_bracket(args) -> int:
 
 def _poly_command(args, color: int, command: str) -> int:
     pd, label = _load_pd(args.source)
-    with _Timeout(args.time_limit):
-        v = jones.reduced_colored(pd, color, max_width=args.max_width)
+    v = jones.reduced_colored(pd, color, args.budget)
     payload = {"command": command, "input": label, "color": color}
     payload.update(q_series_json(v))
     payload["A_polynomial"] = a_polynomial_json(v)
@@ -214,9 +193,7 @@ def _cmd_tail(args) -> int:
         raise SkeinError("--terms must be a positive integer")
     from . import tail  # only tail and verify-stability pay its import
     pd, label = _load_pd(args.source)
-    with _Timeout(args.time_limit):
-        coeffs = tail.tail_extract(pd, args.terms, side=args.side,
-                                   max_width=args.max_width)
+    coeffs = tail.tail_extract(pd, args.terms, args.side, args.budget)
     _emit(args, [" ".join(str(c) for c in coeffs)],
           {"command": "tail", "input": label, "side": args.side,
            "terms": args.terms, "coefficients": coeffs})
@@ -228,9 +205,7 @@ def _cmd_verify_stability(args) -> int:
         raise SkeinError("--max must be at least 3")
     from . import tail
     pd, label = _load_pd(args.source)
-    with _Timeout(args.time_limit):
-        rep = tail.stabilization_check(pd, args.max,
-                                       max_width=args.max_width)
+    rep = tail.stabilization_check(pd, args.max, args.budget)
     lines = []
     for r in rep.records:
         if r.verdict:
@@ -278,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # out-of-range environment value is a usage error (exit 2)
     common.add_argument("--max-width", type=_width_budget,
                         default=os.environ.get("SKEINKIT_MAX_WIDTH")
-                        or diagram.MAX_WIDTH,
+                        or Budget().max_width,
                         help="sweep width budget (SKEINKIT_MAX_WIDTH)")
     common.add_argument("--time-limit", type=_time_budget,
                         default=os.environ.get("SKEINKIT_TIME_LIMIT") or None,
@@ -322,11 +297,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    limit = getattr(args, "time_limit", None)   # catalog takes no budget
+    deadline = time.monotonic() + limit if limit else None
+    args.budget = Budget(getattr(args, "max_width", 0), deadline=deadline,
+                         time_limit=limit)
     try:
         return args.fn(args)
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except StabilizationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"witness: colors {exc.color}/{exc.color + 1}, "
@@ -336,12 +312,9 @@ def main(argv=None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 70
-    except SkeinError as exc:
+    except (SkeinError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, BudgetError) else 2
 
 
 if __name__ == "__main__":

@@ -423,7 +423,11 @@ def _label(glue: list[int], circles: int) -> tuple[PDCode, list[int]]:
     Each strand is walked from the lowest port not yet passed, entering
     the crossing there, and its arcs are labelled consecutively; each
     crossing's tuple starts at the slot where its under-strand is entered.
+    Unless glue[glue[p]] == p for every port, no walk ends: InternalError.
     """
+    if any(not 0 <= q < len(glue) or glue[q] != p
+           for p, q in enumerate(glue)):
+        raise InternalError("port array does not pair the ports")
     slot_label = [0] * len(glue)
     under_entry = [0] * (len(glue) // 4)
     entered = bytearray(len(glue))
@@ -556,10 +560,6 @@ def cable(pd: PDCode, r: int) -> PDCode:
 
 # ---------------------------------------------------------------------------
 # sweep plans
-
-# Default cap on open strand-ends during a sweep; live states grow as
-# Catalan(width/2).
-MAX_WIDTH = 40
 
 
 class SweepPlan(NamedTuple):

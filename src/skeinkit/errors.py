@@ -1,8 +1,12 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the budget that work is checked against.
 
 Everything raised on purpose by this package derives from SkeinError, so
 callers can catch one type.  The CLI maps subclasses to exit codes.
+A :class:`Budget`'s checks raise every width, network and time BudgetError.
 """
+
+import time
+from typing import NamedTuple, Optional
 
 
 class SkeinError(Exception):
@@ -49,6 +53,33 @@ class BudgetError(SkeinError):
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
+
+
+class Budget(NamedTuple):
+    """The width, network and time limits of one computation, passed down
+    as ``budget=``.  ``deadline`` is a ``time.monotonic()`` instant, None
+    for no time limit; a tripped deadline reports ``time_limit``, the
+    seconds it was set from, as its limit (else the deadline)."""
+
+    max_width: int = 40             # open strand-ends of a sweep plan
+    max_network: int = 2_000_000    # (state, box term) pairs composed
+    deadline: Optional[float] = None
+    time_limit: Optional[float] = None
+
+    def check_width(self, needed: int) -> None:
+        if needed > self.max_width:
+            raise BudgetError("max_width", self.max_width, needed=needed,
+                              detail="try another crossing order")
+
+    def check_network(self, needed: int) -> None:
+        if needed > self.max_network:
+            raise BudgetError("max_network", self.max_network, needed=needed,
+                              detail="network contraction too large")
+
+    def check_time(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetError("time_limit", self.time_limit or self.deadline,
+                              detail="wall-clock limit hit")
 
 
 class StabilizationError(SkeinError):

@@ -32,34 +32,28 @@ from typing import Optional
 
 from . import diagram
 from ._kernel import run_packed
-from .errors import BudgetError, ExactnessError, InternalError, SkeinError
+from .errors import (Budget, BudgetError, ExactnessError, InternalError,
+                     SkeinError)
 from .poly import LaurentPoly, ONE, ZERO, exact_divide
 from .quantum import delta, gamma
 
 
-def _check_width(needed: int, max_width: int) -> None:
-    """Refuse a sweep whose plan is wider than the budget."""
-    if needed > max_width:
-        raise BudgetError("max_width", max_width, needed=needed,
-                          detail="try another crossing order")
-
-
-def _swept(pd: diagram.PDCode, floor: Optional[int], max_width: int,
+def _swept(pd: diagram.PDCode, floor: Optional[int], budget: Budget,
            plan: Optional[diagram.SweepPlan] = None) -> LaurentPoly:
     """The bracket of ``pd``; with ``floor``, only its terms of exponent
     >= floor.  Sweeps ``plan``, by default the greedy plan of pd; a plan
     with cut arcs gives the coefficient of the identity tangle instead
     (each cut arc joined up again).  Then multiplies in delta for each
-    crossing-free circle."""
+    crossing-free circle.  The sweep checks the deadline at each step."""
     if plan is None and pd.crossings:
         plan = diagram.plan_sweep(pd)
-        _check_width(plan.max_width, max_width)
+        budget.check_width(plan.max_width)
     extra = pd.extra_circles
     # the circles outside the sweep reach 2*extra above the swept terms
     base, coeffs = run_packed(
         plan.program if plan else (),
         floor=None if floor is None else floor - 2 * extra,
-        identity=plan.identity if plan else b"")
+        identity=plan.identity if plan else b"", tick=budget.check_time)
     out = LaurentPoly(tuple(
         (base + 2 * j, c) for j, c in enumerate(coeffs))) * delta(1) ** extra
     if floor is None:
@@ -67,15 +61,14 @@ def _swept(pd: diagram.PDCode, floor: Optional[int], max_width: int,
     return LaurentPoly(tuple(t for t in out.terms if t[0] >= floor))
 
 
-def bracket(pd: diagram.PDCode,
-            max_width: int = diagram.MAX_WIDTH) -> LaurentPoly:
+def bracket(pd: diagram.PDCode, budget: Budget = Budget()) -> LaurentPoly:
     """Kauffman-style bracket of a diagram: loop value -A^2-A^-2,
     empty diagram 1, A-smoothing weight A.
 
     Exponent support lies in a single parity class (the crossing count
     mod 2); this is checked on every call.
     """
-    out = _swept(pd, None, max_width)
+    out = _swept(pd, None, budget)
     parity = len(pd.crossings) % 2
     if any((e - parity) % 2 for e, _ in out.terms):
         raise InternalError(
@@ -145,7 +138,7 @@ def _cuts(pd: diagram.PDCode, n: int) -> bool:
 
 
 def colored_bracket(pd: diagram.PDCode, n: int,
-                    max_width: int = diagram.MAX_WIDTH) -> LaurentPoly:
+                    budget: Budget = Budget()) -> LaurentPoly:
     """Bracket of the diagram with every component carrying color n.
 
     For n >= 2 on a planar diagram with crossings this is
@@ -160,14 +153,14 @@ def colored_bracket(pd: diagram.PDCode, n: int,
     if not pd.crossings and not pd.extra_circles:
         return ONE
     if _cuts(pd, n):
-        return _long_knot(pd, n, max_width) * delta(n)
+        return _long_knot(pd, n, budget) * delta(n)
     total = LaurentPoly()
     for weight, cabled in _cables(pd, n):
-        total = total + weight * bracket(cabled, max_width=max_width)
+        total = total + weight * bracket(cabled, budget)
     return total
 
 
-def _long_knot(pd: diagram.PDCode, n: int, max_width: int,
+def _long_knot(pd: diagram.PDCode, n: int, budget: Budget,
                floor: Optional[int] = None) -> LaurentPoly:
     """The colored bracket of a planar diagram divided by delta(n); with
     ``floor``, only its terms of exponent >= floor.
@@ -184,9 +177,9 @@ def _long_knot(pd: diagram.PDCode, n: int, max_width: int,
     """
     sweeps = _long_knot_sweeps(pd, n)
     # every plan is checked before any sweep
-    _check_width(max((plan.max_width for _, _, plan in sweeps if plan),
-                     default=0), max_width)
-    return sum((weight * _swept(cabled, floor, max_width, plan)
+    budget.check_width(max((plan.max_width for _, _, plan in sweeps if plan),
+                           default=0))
+    return sum((weight * _swept(cabled, floor, budget, plan)
                 for weight, cabled, plan in sweeps), ZERO)
 
 
@@ -267,7 +260,7 @@ def _cables(pd: diagram.PDCode, n: int):
 
 
 def unreduced_colored(pd: diagram.PDCode, color_dim: int,
-                      max_width: int = diagram.MAX_WIDTH) -> LaurentPoly:
+                      budget: Budget = Budget()) -> LaurentPoly:
     """Framing-corrected colored invariant, unknot -> delta(color_dim - 1).
 
     ``color_dim`` is the number of strand states N >= 1; the cable width
@@ -278,17 +271,17 @@ def unreduced_colored(pd: diagram.PDCode, color_dim: int,
     n = color_dim - 1
     w = diagram.writhe(pd) if pd.crossings else 0
     frame = gamma(n, n, 0) ** (-w)
-    return frame * colored_bracket(pd, n, max_width=max_width)
+    return frame * colored_bracket(pd, n, budget)
 
 
 def reduced_colored(pd: diagram.PDCode, color_dim: int,
-                    max_width: int = diagram.MAX_WIDTH) -> LaurentPoly:
+                    budget: Budget = Budget()) -> LaurentPoly:
     """Unreduced form divided (exactly) by the colored unknot value.
 
     On a code with no planar drawing the cabled invariant need not be
     divisible; that raises SkeinError.
     """
-    unreduced = unreduced_colored(pd, color_dim, max_width=max_width)
+    unreduced = unreduced_colored(pd, color_dim, budget)
     try:
         return exact_divide(unreduced, delta(color_dim - 1))
     except ExactnessError:
@@ -302,13 +295,13 @@ def reduced_colored(pd: diagram.PDCode, color_dim: int,
 
 
 def jones_polynomial(pd: diagram.PDCode,
-                     max_width: int = diagram.MAX_WIDTH) -> LaurentPoly:
+                     budget: Budget = Budget()) -> LaurentPoly:
     """The classical case: reduced 2-dimensional invariant, in A."""
-    return reduced_colored(pd, 2, max_width=max_width)
+    return reduced_colored(pd, 2, budget)
 
 
 def reduced_colored_top(pd: diagram.PDCode, color_dim: int, terms: int,
-                        max_width: int = diagram.MAX_WIDTH
+                        budget: Budget = Budget()
                         ) -> tuple[LaurentPoly, Optional[int]]:
     """The top ``terms`` q-coefficients of :func:`reduced_colored`.
 
@@ -334,7 +327,7 @@ def reduced_colored_top(pd: diagram.PDCode, color_dim: int, terms: int,
         raise ValueError("color dimension and terms must be >= 1")
     n = color_dim - 1
     if not _cuts(pd, n):
-        return reduced_colored(pd, color_dim, max_width=max_width), None
+        return reduced_colored(pd, color_dim, budget), None
     full = _long_knot_sweeps(pd, n)[-1][1]
     t = len(full.crossings)
     a = diagram.apply_state(full, diagram.all_a(full)).count
@@ -343,7 +336,7 @@ def reduced_colored_top(pd: diagram.PDCode, color_dim: int, terms: int,
     span, step = 4 * (terms - 1), 4 * terms
     floor = max(ceiling - span, bottom)
     while True:
-        total = _long_knot(pd, n, max_width, floor)
+        total = _long_knot(pd, n, budget, floor)
         if floor == bottom or (not total.is_zero
                                and total.max_degree() >= floor + span):
             break

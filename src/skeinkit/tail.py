@@ -25,8 +25,8 @@ from __future__ import annotations
 import time
 from typing import NamedTuple
 
-from .diagram import MAX_WIDTH, PDCode, mirror
-from .errors import BudgetError, InternalError, StabilizationError
+from .diagram import PDCode, mirror
+from .errors import Budget, BudgetError, InternalError, StabilizationError
 from .jones import reduced_colored_top
 from .poly import LaurentPoly, to_q
 
@@ -98,23 +98,22 @@ def dot_eq(p1, p2, n: int) -> tuple[bool, int | None]:
 
 
 def _series(window_pd: PDCode, color_dim: int, terms: int,
-            max_width: int) -> tuple[LaurentPoly, int | None]:
+            budget: Budget) -> tuple[LaurentPoly, int | None]:
     """(series, held) of one color: the top held >= terms q-coefficients
     of the series are exact.  held is None when the series is whole."""
-    p, floor = reduced_colored_top(window_pd, color_dim, terms,
-                                   max_width=max_width)
+    p, floor = reduced_colored_top(window_pd, color_dim, terms, budget)
     return p, None if floor is None else (p.max_degree() - floor) // 4 + 1
 
 
 def tail_extract(d: PDCode, k: int, side: str = "tail",
-                 max_width: int = MAX_WIDTH) -> list[int]:
+                 budget: Budget = Budget()) -> list[int]:
     """First k verified-stable coefficients of the tail (or head).
 
     Computes the reduced invariant at colors k and k+1 and confirms
     they agree below q^k before reporting anything; a disagreement
     raises StabilizationError with the witness.  The head is the tail
     of the mirror diagram, whose invariant is the mirrored polynomial
-    (q -> 1/q).  ``max_width`` bounds each sweep, as in
+    (q -> 1/q).  ``budget`` bounds each sweep, as in
     :func:`skeinkit.jones.reduced_colored_top`.  Each color is asked for
     its top k q-coefficients only (and the lowest term, when a window
     ends in zeros); they decide the comparison below q^k, the witness
@@ -126,8 +125,8 @@ def tail_extract(d: PDCode, k: int, side: str = "tail",
         raise ValueError(f"side must be 'tail' or 'head', not {side!r}")
     # the top A-end of d carries its tail, the top of its mirror the head
     window_pd = d if side == "tail" else mirror(d)
-    jk, held = _series(window_pd, k, k, max_width)
-    jk1, _ = _series(window_pd, k + 1, k, max_width)
+    jk, held = _series(window_pd, k, k, budget)
+    jk1, _ = _series(window_pd, k + 1, k, budget)
     ok, mismatch = dot_eq(jk, jk1, k)
     if not ok:
         raise StabilizationError(k, mismatch,
@@ -137,8 +136,7 @@ def tail_extract(d: PDCode, k: int, side: str = "tail",
     if held is not None and len(coeffs) < k:
         # zeros that end the window are the series' own only if a term
         # follows them; the mirror's 1-term window holds the lowest term
-        low, _ = reduced_colored_top(mirror(window_pd), k, 1,
-                                     max_width=max_width)
+        low, _ = reduced_colored_top(mirror(window_pd), k, 1, budget)
         if -low.max_degree() < jk.max_degree() - 4 * (held - 1):
             coeffs += [0] * (k - len(coeffs))
     return coeffs
@@ -174,7 +172,7 @@ class StabilizationReport(NamedTuple):
                 "records": [r.as_dict() for r in self.records]}
 
 
-def _compare(window_pd: PDCode, prev, cur, n: int, max_width: int):
+def _compare(window_pd: PDCode, prev, cur, n: int, budget: Budget):
     """dot_eq of colors n and n+1, each a (series, held) pair from
     :func:`_series`, both widened until they hold the first difference
     or are whole; and color n+1 as widened.  Each widening must hold
@@ -194,21 +192,21 @@ def _compare(window_pd: PDCode, prev, cur, n: int, max_width: int):
         step = min(normalize(p1).step_halves, normalize(p2).step_halves)
         if mismatch is not None and step * mismatch < 2 * held:
             return ok, mismatch, cur
-        prev = _series(window_pd, n, 2 * held, max_width)
-        cur = _series(window_pd, n + 1, 2 * held, max_width)
+        prev = _series(window_pd, n, 2 * held, budget)
+        cur = _series(window_pd, n + 1, 2 * held, budget)
 
 
 def stabilization_check(d: PDCode, n_max: int,
-                        max_width: int = MAX_WIDTH) -> StabilizationReport:
+                        budget: Budget = Budget()) -> StabilizationReport:
     """Compare consecutive colors up to n_max.
 
     Each record says whether the reduced invariants at colors N and N+1
     agree below q^N, and where they first differ.  Each color is first
     computed in a window of N+1 terms, which :func:`_compare` widens
     while a pair's first difference lies outside it.
-    A budget overrun (``max_width``, or a time limit raised as
-    BudgetError) stops the scan and flags the report incomplete rather
-    than raising.
+    A BudgetError of ``budget`` (its width limit, or its deadline,
+    checked during each sweep) stops the scan and flags the report
+    incomplete rather than raising.
     """
     if n_max < 3:
         raise ValueError("n_max must be at least 3")
@@ -220,10 +218,9 @@ def stabilization_check(d: PDCode, n_max: int,
         try:
             # color N is compared with N-1 and N+1, which need N and N+1
             # terms
-            cur = _series(d, color, min(color + 1, n_max), max_width)
+            cur = _series(d, color, min(color + 1, n_max), budget)
             if prev is not None:
-                ok, mismatch, cur = _compare(d, prev, cur, color - 1,
-                                             max_width)
+                ok, mismatch, cur = _compare(d, prev, cur, color - 1, budget)
                 records.append(StabilizationRecord(
                     color - 1, ok, mismatch, time.monotonic() - t0))
         except BudgetError:

@@ -39,7 +39,7 @@ import math
 from collections import deque
 from typing import Iterator, Sequence
 
-from .errors import AdmissibilityError, BudgetError, PDError
+from .errors import AdmissibilityError, Budget, PDError
 from ._sweep_py import _repack, _surgery
 from .poly import ONE, ZERO, LaurentPoly, RationalFn, exact_divide
 from .quantum import admissible, delta
@@ -412,7 +412,7 @@ class PlanarNetwork:
 
 def _contract(net: PlanarNetwork,
               terms: Sequence[Sequence[tuple[Matching, LaurentPoly]]],
-              max_network) -> LaurentPoly:
+              budget: Budget) -> LaurentPoly:
     """Numerator of the network's value when box i expands as terms[i].
 
     The boxes are added one at a time, in order.  A port dangles while
@@ -424,8 +424,8 @@ def _contract(net: PlanarNetwork,
     closures are the arcs inside the frame, and each closed loop is
     worth delta.  Per state, the terms that land on the same (matching,
     loops) are summed before multiplying.  The (state, term) pairs
-    composed so far may not exceed max_network; the count is checked
-    before each box.
+    composed so far may not exceed the budget's max_network; the count
+    and the deadline are checked before each box.
     """
     base = list(itertools.accumulate((2 * w for w in net.boxes), initial=0))
 
@@ -442,9 +442,8 @@ def _contract(net: PlanarNetwork,
     work = 0
     for i, box_terms in enumerate(terms):
         work += len(states) * len(box_terms)
-        if work > max_network:
-            raise BudgetError("max_network", max_network, needed=work,
-                              detail="network contraction too large")
+        budget.check_network(work)
+        budget.check_time()
         frame = dangling + list(range(base[i], base[i + 1]))
         at = {p: k for k, p in enumerate(frame)}
         closures = [(k, at[other[p]]) for k, p in enumerate(frame)
@@ -469,20 +468,20 @@ def _contract(net: PlanarNetwork,
 
 
 def network_evaluate(net: PlanarNetwork,
-                     max_network: int = 2_000_000) -> RationalFn:
+                     budget: Budget = Budget()) -> RationalFn:
     """Exact value of a closed network, contracted one box at a time.
 
     Each box contributes its idempotent's terms (see :func:`_contract`);
     the numerator is the sum over all choices of terms of their product
     times delta per circle, and the denominator the product of the
-    boxes' denominators.  max_network bounds the work of the
-    contraction: the number of (state, term) pairs it composes, where a
-    state is a matching of the ports that still dangle.  Byte keys allow
-    at most 256 dangling ports and ports of the box being added; more
-    raise ValueError.
+    boxes' denominators.  The budget's max_network bounds the work of
+    the contraction: the number of (state, term) pairs it composes, a
+    state being a matching of the ports that still dangle.  Byte keys
+    allow at most 256 dangling ports and ports of the box being added;
+    more raise ValueError.
     """
     idems = [jones_wenzl(w) for w in net.boxes]
-    num = _contract(net, [el.nums for el in idems], max_network)
+    num = _contract(net, [el.nums for el in idems], budget)
     return RationalFn(num, math.prod((el.den for el in idems), start=ONE))
 
 
@@ -528,4 +527,4 @@ def identity_replacement_degree(net: PlanarNetwork) -> int:
     # with one identity term of coefficient 1 per box, the contraction
     # is delta to the power of the circle count
     terms = [((Matching.identity(w), ONE),) for w in net.boxes]
-    return _contract(net, terms, math.inf).min_degree()
+    return _contract(net, terms, Budget()).min_degree()

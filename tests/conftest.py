@@ -3,7 +3,9 @@ import re
 import pytest
 from hypothesis import settings
 
+from skeinkit import _sweep_py
 from skeinkit.diagram import catalog_lookup
+from skeinkit.errors import BudgetError
 from skeinkit.jones import reduced_colored
 
 # every property test draws the same examples on every run, so a failure
@@ -29,6 +31,25 @@ def colored():
         return cache[key]
 
     return get
+
+
+@pytest.fixture
+def sweep_trips(monkeypatch):
+    """The BudgetErrors that leave the sweep kernel's ``run`` itself, each
+    as (budget, called with a floor, called with an identity)."""
+    sweep = _sweep_py.run
+    tripped = []
+
+    def watched(*args, **kwargs):
+        try:
+            return sweep(*args, **kwargs)
+        except BudgetError as exc:
+            tripped.append((exc.budget, kwargs.get("floor") is not None,
+                            bool(kwargs.get("identity"))))
+            raise
+
+    monkeypatch.setattr(_sweep_py, "run", watched)
+    return tripped
 
 
 def pytest_terminal_summary(terminalreporter):

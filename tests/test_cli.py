@@ -14,7 +14,6 @@ from oracles import (
 import skeinkit
 from skeinkit.cli import a_polynomial_json, main, q_series_json
 from skeinkit.diagram import cable, catalog_lookup, catalog_names, format_pd
-from skeinkit.errors import BudgetError
 from skeinkit.jones import jones_polynomial, reduced_colored
 from skeinkit.poly import LaurentPoly
 
@@ -214,7 +213,8 @@ def _cli(*argv):
 
 def test_import_loads_only_what_every_subcommand_needs():
     """Importing the CLI adds neither dataclasses (nor the inspect it
-    pulls in) nor what only some subcommands use: json for --format json,
+    pulls in) nor signal (time limits are deadlines that the work checks)
+    nor what only some subcommands use: json for --format json,
     tail for tail and verify-stability, tl and construct for none.  With
     -S, where no site hook has loaded it first, it adds no
     importlib.resources either: the catalog is read by its path."""
@@ -230,7 +230,7 @@ def test_import_loads_only_what_every_subcommand_needs():
         loaded = set(proc.stdout.split())
         assert {"skeinkit.cli", "skeinkit.diagram",
                 "skeinkit.jones"} <= loaded, flags
-        assert not loaded & {"dataclasses", "inspect", "json",
+        assert not loaded & {"dataclasses", "inspect", "json", "signal",
                              "skeinkit.tail", "skeinkit.tl",
                              "skeinkit.construct"}, flags
     assert "importlib.resources" not in loaded
@@ -280,23 +280,13 @@ def test_zero_time_limit_means_no_limit(monkeypatch, capsys):
     assert run(capsys, "bracket", "catalog:3_1")[0] == 0
 
 
-def test_time_limit_trips_inside_the_long_knot_sweep(monkeypatch, capsys):
-    from skeinkit import _sweep_py
-    sweep = _sweep_py.run
-    tripped = []
-
-    def watched(*args, **kwargs):
-        try:
-            return sweep(*args, **kwargs)
-        except BudgetError as exc:
-            tripped.append(exc.budget)
-            raise
-
-    monkeypatch.setattr(_sweep_py, "run", watched)
+def test_time_limit_trips_inside_the_long_knot_sweep(sweep_trips, capsys):
     code, out, err = run(capsys, "cjones", "--color", "7", "catalog:6_2",
                          "--time-limit", "1")
-    assert code == 3 and out == "" and "time_limit" in err
-    assert tripped == ["time_limit"]
+    assert code == 3 and out == ""
+    assert err == ("error: budget 'time_limit' exceeded (limit 1.0): "
+                   "wall-clock limit hit\n")
+    assert sweep_trips == [("time_limit", False, True)]
 
 
 def test_width_budget_applies_to_the_cut_cable(capsys):
@@ -334,29 +324,16 @@ def test_width_budget_applies_to_the_windowed_cut_cable(capsys):
 
 
 def test_time_limit_trips_inside_the_windowed_cut_sweep(tmp_path,
-                                                        monkeypatch, capsys):
+                                                        sweep_trips, capsys):
     # the A side of this 3-braid knot is not adequate: tail --terms 5
     # descends windows of the cut 4- and 5-cables for about 30 s, all
     # but the first second or so in one window of the 5-cable
-    from skeinkit import _sweep_py
     path = tmp_path / "braid.pd"
     path.write_text(format_pd(braid_closure(3, [-2, -1, -1, -2, -2, -1]))
                     + "\n")
-    sweep = _sweep_py.run
-    tripped = []
-
-    def watched(*args, **kwargs):
-        try:
-            return sweep(*args, **kwargs)
-        except BudgetError as exc:
-            tripped.append((exc.budget, kwargs.get("floor") is not None,
-                            bool(kwargs.get("identity"))))
-            raise
-
-    monkeypatch.setattr(_sweep_py, "run", watched)
     t0 = time.monotonic()
     code, out, err = run(capsys, "tail", "--terms", "5", str(path),
                          "--time-limit", "2")
     assert time.monotonic() - t0 < 6
     assert code == 3 and out == "" and "time_limit" in err
-    assert tripped == [("time_limit", True, True)]
+    assert sweep_trips == [("time_limit", True, True)]

@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import PLANAR, braid_closure, greedy_plan, linked_cable
 from skeinkit.diagram import (
-    PDCode, adequacy, all_a, all_b, analyze, apply_state, cable,
+    PDCode, _label, adequacy, all_a, all_b, analyze, apply_state, cable,
     cable_multi, catalog_lookup, catalog_names, format_pd, genus,
     mirror, parse_pd, plan_sweep, state_graph, writhe,
 )
-from skeinkit.errors import PDError
+from skeinkit.errors import InternalError, PDError
 
 TREFOIL = "X[6,4,1,3] X[4,2,5,1] X[2,6,3,5]"
 
@@ -176,6 +176,16 @@ def test_plan_sweep_rejects_a_cut_label_that_is_not_an_arc():
     with pytest.raises(PDError, match="cannot cut 0"):
         plan_sweep(pd, cut=[1, 0])
     assert plan_sweep(pd, cut=[6]).identity
+
+
+def test_label_rejects_wiring_that_does_not_pair_the_ports():
+    # ports 4..7 lead to -1, where the walk from port 4 would spin
+    # forever; a port past the end, or wired to a port that is wired
+    # elsewhere, is as bad
+    for glue in ([1, 0, 3, 2, -1, -1, -1, -1], [1, 0, 3, 2, 5, 4, 7, 8],
+                 [1, 2, 3, 0]):
+        with pytest.raises(InternalError, match="does not pair the ports"):
+            _label(glue, 0)
 
 
 def test_plan_sweep_respects_explicit_order():

@@ -1,6 +1,7 @@
 """Bracket evaluators, pattern expansion, and the colored invariants."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -13,11 +14,11 @@ from skeinkit import _sweep_py
 from skeinkit.construct import rational_knot, twist_closure, with_kink
 from skeinkit._sweep_py import replay_circles
 from skeinkit.diagram import (
-    MAX_WIDTH, PDCode, adequacy, analyze, apply_state, cable_multi,
+    PDCode, adequacy, analyze, apply_state, cable_multi,
     catalog_lookup, catalog_names, format_pd, genus, mirror, parse_pd,
     plan_sweep, writhe,
 )
-from skeinkit.errors import BudgetError
+from skeinkit.errors import Budget, BudgetError
 from skeinkit.jones import (
     _cables, _long_knot, _swept, bracket, brute_force_bracket,
     chebyshev_coefficients, colored_bracket, jones_polynomial,
@@ -114,11 +115,12 @@ def test_replay_certifies_plan_wiring():
 def test_bracket_width_budget():
     pd = catalog_lookup("6_2")
     with pytest.raises(BudgetError):
-        bracket(pd, max_width=2)
+        bracket(pd, budget=Budget(max_width=2))
     width = plan_sweep(pd).max_width
-    assert bracket(pd, max_width=width) == brute_force_bracket(pd)
+    assert bracket(pd, budget=Budget(max_width=width)) \
+        == brute_force_bracket(pd)
     with pytest.raises(BudgetError) as exc:
-        bracket(pd, max_width=width - 1)
+        bracket(pd, budget=Budget(max_width=width - 1))
     assert str(exc.value) == (
         f"budget 'max_width' exceeded (limit {width - 1}, needed {width}): "
         "try another crossing order")
@@ -126,7 +128,7 @@ def test_bracket_width_budget():
 
 @pytest.mark.parametrize("name, value", [
     ("SKEINKIT_MAX_WIDTH", "2"), ("SKEINKIT_KERNEL", "c"),
-    ("SKEINKIT_KERNEL", "fortran"),
+    ("SKEINKIT_KERNEL", "fortran"), ("SKEINKIT_TIME_LIMIT", "0.001"),
 ])
 def test_library_ignores_environment(monkeypatch, name, value):
     monkeypatch.setenv(name, value)
@@ -138,7 +140,18 @@ def test_width_budget_enforced_after_cache_is_warm():
     pd = catalog_lookup("6_2")
     reduced_colored(pd, 3)
     with pytest.raises(BudgetError):
-        reduced_colored(pd, 3, max_width=2)
+        reduced_colored(pd, 3, budget=Budget(max_width=2))
+
+
+def test_deadline_trips_inside_the_long_knot_sweep(sweep_trips):
+    # the library gets the CLI's time limit: the sweep of the cut 7-cable
+    # of 6_2 runs for seconds, and stops at its next step once the
+    # deadline has passed
+    with pytest.raises(BudgetError) as exc:
+        colored_bracket(catalog_lookup("6_2"), 7,
+                        budget=Budget(deadline=time.monotonic() + 0.3))
+    assert exc.value.budget == "time_limit"
+    assert sweep_trips == [("time_limit", False, True)]
 
 
 def test_chebyshev_small_patterns():
@@ -328,7 +341,7 @@ def _cable_window(pd, color_dim, floor):
     frame = gamma(n, n, 0) ** (-writhe(pd))
     # the dividend's terms >= floor + 2n decide the quotient's >= floor
     low = floor + 2 * n - frame.max_degree()
-    total = sum((w * _swept(c, low, MAX_WIDTH) for w, c in _cables(pd, n)),
+    total = sum((w * _swept(c, low, Budget()) for w, c in _cables(pd, n)),
                 ZERO)
     return divide_from_top(frame * total, delta(n), floor)
 
@@ -363,7 +376,7 @@ def test_long_knot_prunes_the_six_two_sweep(monkeypatch):
         return out
 
     monkeypatch.setattr(_sweep_py, "_step", counted)
-    value = _long_knot(pd, 4, MAX_WIDTH)
+    value = _long_knot(pd, 4, Budget())
     monkeypatch.undo()
     assert 0 < peak[0] <= 200
     assert value * delta(4) == colored_bracket(pd, 4)

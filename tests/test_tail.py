@@ -16,7 +16,7 @@ from skeinkit.diagram import (
     adequacy, catalog_lookup, catalog_names, format_pd, genus, mirror,
     parse_pd, writhe,
 )
-from skeinkit.errors import InternalError, StabilizationError
+from skeinkit.errors import Budget, InternalError, StabilizationError
 from skeinkit.jones import colored_bracket, reduced_colored
 from skeinkit.poly import ONE, ZERO, LaurentPoly, exact_divide, monomial
 from skeinkit.quantum import delta, gamma
@@ -156,7 +156,7 @@ def test_stabilization_check_requires_three_colors():
 def test_stabilization_check_reports_budget_exhaustion():
     # an adequate diagram, and one whose window descends
     for pd in (rational_knot([5], 0), catalog_lookup("3_1_badequate")):
-        rep = stabilization_check(pd, 5, max_width=4)
+        rep = stabilization_check(pd, 5, budget=Budget(max_width=4))
         assert not rep.complete
         assert not rep.all_true
 

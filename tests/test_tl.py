@@ -1,6 +1,7 @@
 """Planar matchings, their algebra, projectors, and closed networks."""
 
 import math
+import time
 
 import pytest
 
@@ -8,7 +9,7 @@ from oracles import (
     bfs_word_lengths, expand_network, graph_compose, necklace_network,
     port_cycles, reindex_trace,
 )
-from skeinkit.errors import AdmissibilityError, BudgetError, PDError
+from skeinkit.errors import AdmissibilityError, Budget, BudgetError, PDError
 from skeinkit.poly import A, ONE, RationalFn
 from skeinkit.quantum import admissible, delta, delta_factorial, theta
 from skeinkit.tl import (
@@ -245,8 +246,15 @@ def test_wide_necklace_fits_the_default_budget():
 
 
 def test_network_budget():
-    with pytest.raises(BudgetError):
-        network_evaluate(theta_network(3, 3, 4), max_network=2)
+    with pytest.raises(BudgetError) as exc:
+        network_evaluate(theta_network(3, 3, 4), budget=Budget(max_network=2))
+    assert str(exc.value) == ("budget 'max_network' exceeded (limit 2, "
+                              "needed 5): network contraction too large")
+    # the deadline is checked before each box, so one already passed trips
+    past = Budget(deadline=time.monotonic() - 1)
+    with pytest.raises(BudgetError) as exc:
+        network_evaluate(theta_network(3, 3, 4), budget=past)
+    assert exc.value.budget == "time_limit"
 
 
 def test_adequate_networks_attain_identity_degree():
