@@ -51,9 +51,25 @@ class LaurentPoly:
     terms: tuple[tuple[int, int], ...]
 
     def __init__(self, terms: Iterable[tuple[int, int]] = ()):
-        object.__setattr__(self, "terms", _normalized(terms))
+        _set_terms(self, _normalized(terms))
 
     __setattr__ = __delattr__ = _frozen
+
+    @classmethod
+    def _trusted(cls, terms: tuple[tuple[int, int], ...]) -> "LaurentPoly":
+        """A value whose terms are already strictly increasing in exponent
+        and free of zeros, such as a product by one term: no checks."""
+        p = _new(cls)
+        _set_terms(p, terms)
+        return p
+
+    @classmethod
+    def _of_acc(cls, acc: dict[int, int]) -> "LaurentPoly":
+        """The value of a filled exponent -> coefficient dict: zeros are
+        dropped and the terms sorted once."""
+        p = _new(cls)
+        _set_terms(p, tuple(sorted([t for t in acc.items() if t[1]])))
+        return p
 
     def __reduce__(self):
         return LaurentPoly, (self.terms,)
@@ -123,12 +139,12 @@ class LaurentPoly:
         acc = dict(self.terms)
         for e, c in other.terms:
             acc[e] = acc.get(e, 0) + c
-        return LaurentPoly(tuple(acc.items()))
+        return LaurentPoly._of_acc(acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(tuple((e, -c) for e, c in self.terms))
+        return LaurentPoly._trusted(tuple((e, -c) for e, c in self.terms))
 
     def __sub__(self, other: _Scalar) -> "LaurentPoly":
         other = self._coerce(other)
@@ -146,12 +162,22 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        mine, theirs = self.terms, other.terms
+        if len(mine) > len(theirs):
+            mine, theirs = theirs, mine
+        if len(mine) == 1:
+            # a single term shifts and scales the other factor's terms,
+            # which stay sorted and nonzero
+            (e1, c1), = mine
+            return LaurentPoly._trusted(
+                tuple((e1 + e, c1 * c) for e, c in theirs))
         acc: dict[int, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
+        get = acc.get
+        for e1, c1 in mine:
+            for e2, c2 in theirs:
                 e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return LaurentPoly(tuple(acc.items()))
+                acc[e] = get(e, 0) + c1 * c2
+        return LaurentPoly._of_acc(acc)
 
     __rmul__ = __mul__
 
@@ -199,6 +225,9 @@ class LaurentPoly:
         return f"<LaurentPoly {self}>"
 
 
+_new = object.__new__
+_set_terms = LaurentPoly.terms.__set__   # the slot, past _frozen
+
 ZERO = LaurentPoly()
 ONE = LaurentPoly.constant(1)
 A = LaurentPoly.monomial(1, 1)
@@ -244,7 +273,7 @@ def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
                 rem.pop(k, None)
     if rem:
         raise ExactnessError(f"{q} does not divide {p} exactly")
-    return LaurentPoly(tuple(out.items()))
+    return LaurentPoly._of_acc(out)
 
 
 class RationalFn:

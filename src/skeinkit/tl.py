@@ -10,9 +10,10 @@ delta = -A^2 - A^-2 in the algebra TL_n.  This module provides:
   are Laurent-polynomial numerators over one shared denominator; all
   products and sums stay in polynomial arithmetic, and RationalFn
   coefficients appear only where values enter or leave an element,
-* the Jones-Wenzl idempotents f^(n) by their two-term recursion, built
-  with the element product over the canonical denominator
-  delta_factorial(n-1),
+* the Jones-Wenzl idempotents f^(n) by the single-clasp recursion
+  f^(n) = sum_{k=1..n} (-1)^(n-k) (Delta_{k-1}/Delta_{n-1})
+  (f^(n-1) (x) 1) h_{n-1} ... h_k, whose numerators fall over the
+  canonical denominator delta_factorial(n-1) by construction,
 * minimum hook-word length via breadth-first search (an exact oracle
   used by degree-bound tests),
 * an exact evaluator for closed planar networks of idempotent boxes
@@ -177,6 +178,12 @@ def compose(m1: Matching, m2: Matching) -> tuple[Matching, int]:
 
 
 @functools.lru_cache(maxsize=None)
+def _loops(k: int) -> LaurentPoly:
+    """delta^k, the value of k closed loops; each power is raised once."""
+    return delta(1) ** k
+
+
+@functools.lru_cache(maxsize=None)
 def _stacking(n: int):
     """The closures, closed indices and re-pack table of :func:`compose`."""
     closures = tuple((n + i, 2 * n + i) for i in range(n))
@@ -281,7 +288,7 @@ class TLElement:
                 key = compose(m1, m2)
                 groups[key] = groups[key] + c2 if key in groups else c2
             for (m, loops), c2 in groups.items():
-                c = c1 * c2 * delta(1) ** loops if loops else c1 * c2
+                c = c1 * (c2 * _loops(loops)) if loops else c1 * c2
                 out[m] = out[m] + c if m in out else c
         return TLElement._of_nums(self.n, out, self.den * other.den)
 
@@ -303,22 +310,24 @@ class TLElement:
 def jones_wenzl(n: int) -> TLElement:
     """The idempotent f^(n): kills every hook, coefficient 1 on identity.
 
-    Recursion inside TL_n, with h = h_{n-1} and f^(n-1) = E/D extended
-    by one straight strand:
+    Single-clasp recursion inside TL_n.  With E = f^(n-1) extended by one
+    straight strand on the right, Delta_j = delta(j), and the hook words
+    w_n = 1, w_k = w_{k+1} h_k (so w_k = h_{n-1} h_{n-2} ... h_k):
 
-        f^(n) = f^(n-1) - (Delta_{n-2}/Delta_{n-1}) f^(n-1) h f^(n-1)
-              = (Delta_{n-1}*E - (Delta_{n-2}*E*h*E)/D) / (Delta_{n-1}*D)
+        f^(n) = sum_{k=1..n} (-1)^(n-k) (Delta_{k-1}/Delta_{n-1}) E w_k
 
-    The division by D is exact (exact_divide raises if it ever is not),
-    so every coefficient sits over den = delta_factorial(n-1).  f^(0) is
-    the identity on no strands.
+    Each E w_k is one matching product per term of E, with each closed
+    loop worth delta, and no loop closes while the words are built.  The
+    numerators come out over Delta_{n-1} times the denominator of
+    f^(n-1), so den = delta_factorial(n-1) holds by construction and no
+    division is needed.  f^(0) is the identity on no strands.
     """
     if n < 0:
         raise PDError("strand count must be non-negative")
     if n <= 1:
         return TLElement.identity_element(n)
     prev = jones_wenzl(n - 1)
-    ext = {}
+    ext = []
     for m, c in prev.nums:
         part = [0] * (2 * n)
         for i, j in enumerate(m.partner):
@@ -326,14 +335,22 @@ def jones_wenzl(n: int) -> TLElement:
             gj = j if j < n - 1 else j + 1
             part[gi] = gj
         part[n - 1], part[2 * n - 1] = 2 * n - 1, n - 1
-        ext[Matching._trusted(n, tuple(part))] = c
-    e = TLElement._of_nums(n, ext, prev.den)
-    ehe = e * TLElement.of_matching(hook(n, n - 1)) * e
-    out = {m: c * delta(n - 1) for m, c in e.nums}
-    for m, c in ehe.nums:
-        adj = exact_divide(c * delta(n - 2), e.den)
-        out[m] = out[m] - adj if m in out else -adj
-    return TLElement._of_nums(n, out, delta(n - 1) * e.den)
+        ext.append((Matching._trusted(n, tuple(part)), c))
+    # k = n: E itself, over Delta_{n-1}
+    top = delta(n - 1)
+    out = {m: c * top for m, c in ext}
+    word = Matching.identity(n)
+    for k in range(n - 1, 0, -1):
+        word = compose(word, hook(n, k))[0]
+        weight = delta(k - 1) if (n - k) % 2 == 0 else -delta(k - 1)
+        groups: dict[tuple[Matching, int], LaurentPoly] = {}
+        for m, c in ext:
+            key = compose(m, word)
+            groups[key] = groups[key] + c if key in groups else c
+        for (m, loops), c in groups.items():
+            c = c * (weight * _loops(loops)) if loops else c * weight
+            out[m] = out[m] + c if m in out else c
+    return TLElement._of_nums(n, out, top * prev.den)
 
 
 def partial_trace(el: TLElement) -> TLElement:
@@ -436,9 +453,8 @@ def _contract(net: PlanarNetwork,
     other: dict[int, int] = {}
     for p, q in net.arcs:
         other[port_id(p)], other[port_id(q)] = port_id(q), port_id(p)
-    d = delta(1)
     dangling: list[int] = []
-    states = {b"": d ** net.circles}
+    states = {b"": _loops(net.circles)}
     work = 0
     for i, box_terms in enumerate(terms):
         work += len(states) * len(box_terms)
@@ -459,7 +475,7 @@ def _contract(net: PlanarNetwork,
                                table)
                 groups[key] = groups[key] + c if key in groups else c
             for (matching, loops), c in groups.items():
-                c = num * c * d ** loops if loops else num * c
+                c = num * (c * _loops(loops)) if loops else num * c
                 after[matching] = (after[matching] + c if matching in after
                                    else c)
         dangling = [p for p in frame if other[p] not in at]

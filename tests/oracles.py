@@ -7,7 +7,8 @@ long division from the top for windowed quotients, the expansion of a
 closed projector network into every combination of box terms, a walk
 over the graph of two stacked matchings and a reindexing that closes a
 strand of one (for ``tl.compose`` and ``tl.partial_trace``, which run
-the sweep kernel's surgery), and the earlier builders of sweep plans,
+the sweep kernel's surgery), the two-term recursion f h f for the
+Jones-Wenzl projectors, and the earlier builders of sweep plans,
 cables and tangles (a greedy loop that rescores every crossing at each
 step, and cables and tangles wired through a junction graph).
 The CLI's JSON polynomials are read back by the inverses of its schema.
@@ -17,6 +18,7 @@ bound from ``_sweep_py._all_a_cuts``, which the window tests need.
 sweep.
 """
 
+import functools
 import itertools
 import math
 
@@ -26,10 +28,13 @@ from skeinkit._sweep_py import _all_a_cuts
 from skeinkit.construct import rational_knot, twist_closure, with_kink
 from skeinkit.diagram import PDCode, SweepPlan, analyze, format_pd, parse_pd
 from skeinkit.errors import BudgetError
-from skeinkit.poly import LaurentPoly, ONE, ZERO, RationalFn, monomial
+from skeinkit.poly import (
+    LaurentPoly, ONE, ZERO, RationalFn, exact_divide, monomial,
+)
 from skeinkit.quantum import delta
 from skeinkit.tl import (
-    Matching, PlanarNetwork, enumerate_matchings, hook, jones_wenzl,
+    Matching, PlanarNetwork, TLElement, enumerate_matchings, hook,
+    jones_wenzl,
 )
 
 # Published single-variable invariants for the bundled alternating knots,
@@ -345,6 +350,39 @@ def bfs_word_lengths(n: int) -> dict:
                     nxt.append(prod)
         frontier = nxt
     return dist
+
+
+@functools.cache
+def two_term_jones_wenzl(n: int) -> TLElement:
+    """f^(n) by the two-term recursion, built with the TL product:
+
+        f^(n) = f^(n-1) - (Delta_{n-2}/Delta_{n-1}) f^(n-1) h_{n-1} f^(n-1)
+              = (Delta_{n-1}*E - (Delta_{n-2}*E*h*E)/D) / (Delta_{n-1}*D)
+
+    with E/D = f^(n-1) extended by one straight strand.  The division by
+    D must be exact (exact_divide raises otherwise), which checks that
+    every coefficient sits over delta_factorial(n-1).
+    """
+    if n <= 1:
+        return TLElement.identity_element(n)
+    prev = two_term_jones_wenzl(n - 1)
+    ext = {}
+    for m, c in prev.nums:
+        part = [0] * (2 * n)
+        for i, j in enumerate(m.partner):
+            part[i if i < n - 1 else i + 1] = j if j < n - 1 else j + 1
+        part[n - 1], part[2 * n - 1] = 2 * n - 1, n - 1
+        ext[Matching(n, tuple(part))] = c
+    e = TLElement(n, tuple(sorted(ext.items(),
+                                  key=lambda mc: mc[0].paren_string())),
+                  prev.den)
+    ehe = e * TLElement.of_matching(hook(n, n - 1)) * e
+    out = {m: c * delta(n - 1) for m, c in e.nums}
+    for m, c in ehe.nums:
+        out[m] = out.get(m, ZERO) - exact_divide(c * delta(n - 2), e.den)
+    nums = sorted(((m, c) for m, c in out.items() if not c.is_zero),
+                  key=lambda mc: mc[0].paren_string())
+    return TLElement(n, tuple(nums), delta(n - 1) * e.den)
 
 
 def certified_top(program, identity=b""):

@@ -76,6 +76,57 @@ class TestRing:
             ZERO.max_degree()
 
 
+def _reference(p, q, op):
+    """p op q from plain exponent -> coefficient dicts, zeros dropped."""
+    out = {}
+    if op == "+":
+        for e, c in [*p.items(), *q.items()]:
+            out[e] = out.get(e, 0) + c
+    else:
+        for e1, c1 in p.items():
+            for e2, c2 in q.items():
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _canonical(p):
+    """Terms strictly increasing in exponent, no zero coefficient."""
+    es = [e for e, _ in p.terms]
+    return (all(a < b for a, b in zip(es, es[1:]))
+            and all(c for _, c in p.terms))
+
+
+monomials = st.builds(LaurentPoly.monomial,
+                      st.integers(-30, 30).filter(bool), st.integers(-8, 8))
+factors = st.one_of(polys, monomials, st.just(ZERO))
+
+
+class TestCanonicalForm:
+    @given(factors, st.one_of(factors, st.integers(-5, 5)))
+    def test_sum_and_product_match_dicts(self, p, q):
+        # q on either side; an int operand stands for a constant
+        dq = q.as_dict() if isinstance(q, LaurentPoly) else {0: q}
+        for op, got in (("+", p + q), ("+", q + p),
+                        ("*", p * q), ("*", q * p)):
+            assert isinstance(got, LaurentPoly)
+            assert _canonical(got)
+            assert got.as_dict() == _reference(p.as_dict(), dq, op)
+
+    @given(polys, monomials)
+    def test_cancelling_sums_are_zero(self, p, m):
+        neg = {e: -c for e, c in p.as_dict().items()}
+        minus_p = LaurentPoly.from_dict(neg)
+        for total in (p + minus_p, minus_p + p, p * m + minus_p * m,
+                      p - p, -p + p, (m - m) * p):
+            assert total == ZERO and total.terms == ()
+        # negation, mirror and difference keep the canonical form too
+        minus_m = {e: -c for e, c in m.as_dict().items()}
+        for got, want in ((-p, neg),
+                          (p.mirror(), {-e: c for e, c in p.as_dict().items()}),
+                          (p - m, _reference(p.as_dict(), minus_m, "+"))):
+            assert _canonical(got) and got.as_dict() == want
+
+
 class TestExactDivide:
     @given(nonzero_polys, nonzero_polys)
     def test_roundtrip(self, p, q):

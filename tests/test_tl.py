@@ -7,8 +7,9 @@ import pytest
 
 from oracles import (
     bfs_word_lengths, expand_network, graph_compose, necklace_network,
-    port_cycles, reindex_trace,
+    port_cycles, reindex_trace, two_term_jones_wenzl,
 )
+from skeinkit import tl
 from skeinkit.errors import AdmissibilityError, Budget, BudgetError, PDError
 from skeinkit.poly import A, ONE, RationalFn
 from skeinkit.quantum import admissible, delta, delta_factorial, theta
@@ -122,8 +123,10 @@ def test_projector_annihilates_hooks():
 
 
 def test_projector_canonical_denominator():
-    # den is delta_factorial(n-1) only if every exact division in the
-    # recursion succeeds; n = 7 is one size past any other use
+    # the single-clasp recursion puts every numerator over
+    # delta_factorial(n-1) by construction, with no division to check
+    # it; test_projector_equals_the_two_term_recursion carries the exact
+    # division of the f h f oracle.  n = 7 is one size past any other use
     for n in range(1, 8):
         f = jones_wenzl(n)
         assert f.den == delta_factorial(n - 1), n
@@ -132,6 +135,38 @@ def test_projector_canonical_denominator():
     for i in range(1, 7):
         h = TLElement.of_matching(hook(7, i))
         assert (h * f).is_zero and (f * h).is_zero, i
+
+
+def test_projector_equals_the_two_term_recursion():
+    # same numerators, matchings and denominator, bit for bit; the
+    # oracle divides exactly by the denominator of f^(n-1) at each step
+    for n in range(7):
+        f, want = jones_wenzl(n), two_term_jones_wenzl(n)
+        assert f.n == want.n == n
+        assert f.nums == want.nums, n
+        assert f.den == want.den == delta_factorial(n - 1), n
+
+
+def test_projector_builds_with_few_matching_products(monkeypatch):
+    # not a timing test: with f^(n-1) cached, f^(n) takes n-1 products
+    # to build the hook words and one per (word, term of f^(n-1)), at
+    # most (n-1)(Catalan(n-1)+1) = 215 at n = 6; f h f took 1,806
+    n = 6
+    calls = 0
+
+    def counted(m1, m2):
+        nonlocal calls
+        calls += 1
+        return compose(m1, m2)
+
+    jones_wenzl.cache_clear()
+    try:
+        jones_wenzl(n - 1)
+        monkeypatch.setattr(tl, "compose", counted)
+        jones_wenzl(n)
+        assert 0 < calls <= (n - 1) * (catalan(n - 1) + 1) == 215
+    finally:
+        jones_wenzl.cache_clear()
 
 
 def test_gluing_equals_the_graph_walks():
