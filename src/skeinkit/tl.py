@@ -20,7 +20,10 @@ delta = -A^2 - A^-2 in the algebra TL_n.  This module provides:
   (:func:`network_evaluate`): it adds one box at a time and carries a
   numerator per matching of the ports still dangling, so its work
   grows with those matchings times each box's terms, not with the
-  product of all boxes' term counts.
+  product of all boxes' term counts.  It drops every matching that
+  caps two neighbouring strands of a box still to come, since a
+  projector with such a cap is zero (Kauffman-Lins, *Temperley-Lieb
+  Recoupling Theory*, 1994).
 
 The product, :func:`partial_trace` and the network evaluator glue
 partner arrays and count closed loops with the sweep kernel's surgery
@@ -427,23 +430,36 @@ class PlanarNetwork:
             raise PDError("arcs must cover every box port exactly once")
 
 
-def _contract(net: PlanarNetwork,
-              terms: Sequence[Sequence[tuple[Matching, LaurentPoly]]],
-              budget: Budget) -> LaurentPoly:
-    """Numerator of the network's value when box i expands as terms[i].
+def network_evaluate(net: PlanarNetwork,
+                     budget: Budget = Budget()) -> RationalFn:
+    """Exact value of a closed network, contracted one box at a time.
 
-    The boxes are added one at a time, in order.  A port dangles while
-    its arc leads to a box not yet added.  A state is the matching that
-    the arcs and the added boxes' terms make on the dangling ports, a
-    bytes partner array, and it carries its numerator.  Adding a box is
-    one step of the sweep kernel's surgery: the frame is the dangling
-    ports, then the box's 2w ports; each box term is a fresh tail; the
-    closures are the arcs inside the frame, and each closed loop is
-    worth delta.  Per state, the terms that land on the same (matching,
-    loops) are summed before multiplying.  The (state, term) pairs
-    composed so far may not exceed the budget's max_network; the count
-    and the deadline are checked before each box.
+    The value is the sum, over all choices of one term of each box's
+    idempotent, of the terms' product times delta per circle, over the
+    product of the boxes' denominators.  The boxes are added in order.
+    A port dangles while its arc leads to a box not yet added.  A state
+    is the matching that the arcs and the added boxes' terms make on the
+    dangling ports, a bytes partner array, and it carries its numerator.
+    Adding a box is one step of the sweep kernel's surgery: the frame is
+    the dangling ports, then the box's 2w ports; each box term is a
+    fresh tail; the closures are the arcs inside the frame, and each
+    closed loop is worth delta.  Per state, the terms that land on the
+    same (matching, loops) are summed before multiplying.
+
+    A Jones-Wenzl projector with a cap on two neighbouring strands of one
+    side is zero (Kauffman-Lins, *Temperley-Lieb Recoupling Theory*,
+    1994).  So a state that joins two dangling ports whose arcs lead to
+    neighbouring ports q, q+1 on one side of a box still to come
+    contributes zero, whatever terms the other boxes take, and is
+    dropped with the zero numerators.
+
+    The budget's max_network bounds the (state, term) pairs composed,
+    counting only states still alive; the count and the deadline are
+    checked before each box.  Byte keys allow at most 256 dangling ports
+    and ports of the box being added; more raise ValueError.
     """
+    idems = [jones_wenzl(w) for w in net.boxes]
+    den = math.prod((el.den for el in idems), start=ONE)
     base = list(itertools.accumulate((2 * w for w in net.boxes), initial=0))
 
     def port_id(port: Port) -> int:
@@ -453,11 +469,14 @@ def _contract(net: PlanarNetwork,
     other: dict[int, int] = {}
     for p, q in net.arcs:
         other[port_id(p)], other[port_id(q)] = port_id(q), port_id(p)
+    # ports with a right-hand neighbour on the same side of their box
+    has_next = {b + s + k for b, w in zip(base, net.boxes)
+                for s in (0, w) for k in range(w - 1)}
     dangling: list[int] = []
     states = {b"": _loops(net.circles)}
     work = 0
-    for i, box_terms in enumerate(terms):
-        work += len(states) * len(box_terms)
+    for i, el in enumerate(idems):
+        work += len(states) * len(el.nums)
         budget.check_network(work)
         budget.check_time()
         frame = dangling + list(range(base[i], base[i + 1]))
@@ -466,7 +485,7 @@ def _contract(net: PlanarNetwork,
                     if at.get(other[p], -1) > k]
         dead, table = _repack(len(frame), closures)
         tails = [(bytes(len(dangling) + j for j in m.partner), c)
-                 for m, c in box_terms]
+                 for m, c in el.nums]
         after: dict[bytes, LaurentPoly] = {}
         for state, num in states.items():
             groups: dict[tuple[bytes, int], LaurentPoly] = {}
@@ -479,26 +498,14 @@ def _contract(net: PlanarNetwork,
                 after[matching] = (after[matching] + c if matching in after
                                    else c)
         dangling = [p for p in frame if other[p] not in at]
-        states = {s: c for s, c in after.items() if not c.is_zero}
-    return states.get(b"", ZERO)
-
-
-def network_evaluate(net: PlanarNetwork,
-                     budget: Budget = Budget()) -> RationalFn:
-    """Exact value of a closed network, contracted one box at a time.
-
-    Each box contributes its idempotent's terms (see :func:`_contract`);
-    the numerator is the sum over all choices of terms of their product
-    times delta per circle, and the denominator the product of the
-    boxes' denominators.  The budget's max_network bounds the work of
-    the contraction: the number of (state, term) pairs it composes, a
-    state being a matching of the ports that still dangle.  Byte keys
-    allow at most 256 dangling ports and ports of the box being added;
-    more raise ValueError.
-    """
-    idems = [jones_wenzl(w) for w in net.boxes]
-    num = _contract(net, [el.nums for el in idems], budget)
-    return RationalFn(num, math.prod((el.den for el in idems), start=ONE))
+        # (x, y): dangling ports whose arcs reach neighbours q, q+1 of a
+        # box still to come; a state joining them is killed there
+        far = {other[p]: x for x, p in enumerate(dangling)}
+        caps = [(x, far[q + 1]) for q, x in far.items()
+                if q in has_next and q + 1 in far]
+        states = {s: c for s, c in after.items()
+                  if not c.is_zero and all(s[x] != y for x, y in caps)}
+    return RationalFn(states.get(b"", ZERO), den)
 
 
 def circle_network(k: int = 1) -> PlanarNetwork:
@@ -538,9 +545,26 @@ def theta_network(a: int, b: int, c: int) -> PlanarNetwork:
 def identity_replacement_degree(net: PlanarNetwork) -> int:
     """-2 times the circle count after replacing every box by identity.
 
-    This is the lower bound that adequate networks attain exactly.
+    This is the lower bound that adequate networks attain exactly.  The
+    circles are counted directly, by a union-find over the ports: each
+    arc and each straight strand (i, "b", k)-(i, "t", k) joins two of
+    them, and every port lies on one arc and one strand.  An identity box
+    kills no cap, so the contraction of :func:`network_evaluate`, whose
+    dead-state rule assumes projectors, does not apply.
     """
-    # with one identity term of coefficient 1 per box, the contraction
-    # is delta to the power of the circle count
-    terms = [((Matching.identity(w), ONE),) for w in net.boxes]
-    return _contract(net, terms, Budget()).min_degree()
+    root: dict[Port, Port] = {}
+
+    def find(p: Port) -> Port:
+        while p in root:
+            p = root[p]
+        return p
+
+    strands = [((i, "b", k), (i, "t", k))
+               for i, w in enumerate(net.boxes) for k in range(w)]
+    for p, q in (*net.arcs, *strands):
+        p, q = find(p), find(q)
+        if p != q:
+            root[p] = q
+    # each join that merged two classes removed one from the port count
+    circles = 2 * sum(net.boxes) - len(root)
+    return -2 * (circles + net.circles)

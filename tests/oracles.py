@@ -4,10 +4,11 @@ Everything here is computed by a different route than the library code
 under test: a 2x2 transfer matrix for rational-tangle brackets, a braid
 walker for PD codes, a fresh breadth-first search for word lengths,
 long division from the top for windowed quotients, the expansion of a
-closed projector network into every combination of box terms, a walk
-over the graph of two stacked matchings and a reindexing that closes a
-strand of one (for ``tl.compose`` and ``tl.partial_trace``, which run
-the sweep kernel's surgery), the two-term recursion f h f for the
+closed projector network into every combination of box terms, the
+Kauffman-Lins formula for a tetrahedral network built from a trivalent
+graph, a walk over the graph of two stacked matchings and a reindexing
+that closes a strand of one (for ``tl.compose`` and
+``tl.partial_trace``, which run the sweep kernel's surgery), the two-term recursion f h f for the
 Jones-Wenzl projectors, and the earlier builders of sweep plans,
 cables and tangles (a greedy loop that rescores every crossing at each
 step, and cables and tangles wired through a junction graph).
@@ -31,7 +32,7 @@ from skeinkit.errors import BudgetError
 from skeinkit.poly import (
     LaurentPoly, ONE, ZERO, RationalFn, exact_divide, monomial,
 )
-from skeinkit.quantum import delta
+from skeinkit.quantum import delta, delta_factorial
 from skeinkit.tl import (
     Matching, PlanarNetwork, TLElement, enumerate_matchings, hook,
     jones_wenzl,
@@ -454,6 +455,80 @@ def necklace_network(n: int, k: int) -> PlanarNetwork:
     arcs = tuple(((j, "t", s), ((j + 1) % k, "b", s))
                  for j in range(k) for s in range(n))
     return PlanarNetwork(boxes=(n,) * k, arcs=arcs)
+
+
+def trivalent_network(edges, rotations) -> PlanarNetwork:
+    """A planar trivalent graph, colored, as a network of projector boxes.
+
+    ``edges[i] = (u, v, color)`` with u < v is box i, its bottom at
+    vertex u; ``rotations[v]`` lists the edges at v counterclockwise.
+    Seen from a vertex looking out along an edge, the ports run
+    b_0..b_{w-1} at the bottom end and t_{w-1}..t_0 at the top end, left
+    to right.  Between cyclically consecutive edges e1, e2 at a vertex,
+    (w1 + w2 - w3)/2 strands join e1's leftmost ports to e2's rightmost,
+    innermost first.  The colors must be admissible at every vertex.
+    """
+    arcs = []
+    for v, rot in rotations.items():
+        widths = [edges[e][2] for e in rot]
+        ends = [[(e, "b", k) for k in range(w)] if edges[e][0] == v
+                else [(e, "t", k) for k in reversed(range(w))]
+                for e, w in zip(rot, widths)]
+        for j in range(3):
+            right, left = ends[j], ends[(j + 1) % 3]
+            k = (widths[j] + widths[(j + 1) % 3] - widths[(j + 2) % 3]) // 2
+            arcs += [(right[m], left[-1 - m]) for m in range(k)]
+    return PlanarNetwork(boxes=tuple(w for _, _, w in edges),
+                         arcs=tuple(arcs))
+
+
+def tet_network(a, b, e, c, d, f) -> PlanarNetwork:
+    """The tetrahedron colored Tet[A B E; C D F], as in :func:`kl_tet`.
+
+    Vertices 1, 2, 3 lie on the outer triangle and 4 inside; the edges
+    E = 12, F = 34, A = 13, D = 14, B = 23, C = 24 are boxes 0-5, so the
+    vertex triples are (A,D,E), (B,C,E), (A,B,F), (C,D,F).
+    """
+    edges = [(1, 2, e), (3, 4, f), (1, 3, a), (1, 4, d), (2, 3, b),
+             (2, 4, c)]
+    return trivalent_network(
+        edges, {1: (0, 3, 2), 2: (4, 5, 0), 3: (2, 1, 4), 4: (3, 5, 1)})
+
+
+def _kl_factorial(k: int) -> LaurentPoly:
+    """Kauffman-Lins [k]! = (-1)^(k(k-1)/2) Delta_0 ... Delta_{k-1}."""
+    fact = delta_factorial(k - 1)
+    return -fact if k * (k - 1) // 2 % 2 else fact
+
+
+def kl_tet(a, b, e, c, d, f) -> RationalFn:
+    """Tet[A B E; C D F] by the formula of Kauffman-Lins, *Temperley-Lieb
+    Recoupling Theory* (1994), with vertex triples (A,D,E), (B,C,E),
+    (A,B,F), (C,D,F):
+
+        Tet = (prod_{i,j} [b_j - a_i]! / prod_edges [x]!)
+              * sum_{max a_i <= s <= min b_j} (-1)^s [s+1]!
+                / (prod_i [s - a_i]! prod_j [b_j - s]!)
+
+    where a_1..a_4 are the vertex triples' half sums and b_1 =
+    (B+D+E+F)/2, b_2 = (A+C+E+F)/2, b_3 = (A+B+C+D)/2.
+    """
+    lows = [(a + d + e) // 2, (b + c + e) // 2, (a + b + f) // 2,
+            (c + d + f) // 2]
+    highs = [(b + d + e + f) // 2, (a + c + e + f) // 2,
+             (a + b + c + d) // 2]
+    total = RationalFn.of(0)
+    for s in range(max(lows), min(highs) + 1):
+        term = RationalFn(_kl_factorial(s + 1), math.prod(
+            [_kl_factorial(s - x) for x in lows]
+            + [_kl_factorial(y - s) for y in highs], start=ONE))
+        total += -term if s % 2 else term
+    pre = RationalFn(
+        math.prod((_kl_factorial(y - x) for x in lows for y in highs),
+                  start=ONE),
+        math.prod((_kl_factorial(x) for x in (a, b, c, d, e, f)),
+                  start=ONE))
+    return pre * total
 
 
 # Stable-range coefficient tables for the 6_2 catalog entry, after

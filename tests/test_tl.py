@@ -1,13 +1,15 @@
 """Planar matchings, their algebra, projectors, and closed networks."""
 
+import itertools
 import math
 import time
 
 import pytest
 
 from oracles import (
-    bfs_word_lengths, expand_network, graph_compose, necklace_network,
-    port_cycles, reindex_trace, two_term_jones_wenzl,
+    bfs_word_lengths, expand_network, graph_compose, kl_tet,
+    necklace_network, port_cycles, reindex_trace, tet_network,
+    trivalent_network, two_term_jones_wenzl,
 )
 from skeinkit import tl
 from skeinkit.errors import AdmissibilityError, Budget, BudgetError, PDError
@@ -262,6 +264,16 @@ def test_network_evaluate_equals_the_expansion():
     nets += [trace_network(n) for n in range(7)]
     nets += [circle_network(k) for k in (1, 2, 3)]
     nets += [necklace_network(n, k) for n in range(4) for k in (2, 3, 4)]
+    # box 1 drawn mirrored: box 0's identity term caps box 1's bottom
+    # ports 1, 0, so only the projectors' contraction may drop it
+    mirrored = PlanarNetwork(boxes=(2, 2), arcs=(
+        ((0, "t", 0), (1, "b", 0)), ((0, "b", 0), (1, "b", 1)),
+        ((0, "t", 1), (1, "t", 0)), ((0, "b", 1), (1, "t", 1))))
+    # f^(2) capped on both sides: zero
+    capped = PlanarNetwork(boxes=(2,), arcs=(
+        ((0, "t", 0), (0, "t", 1)), ((0, "b", 0), (0, "b", 1))))
+    assert network_evaluate(capped).is_zero
+    nets += [mirrored, capped]
     for net in nets:
         assert network_evaluate(net) == expand_network(net), net
         identities = [Matching.identity(w) for w in net.boxes]
@@ -285,6 +297,14 @@ def test_network_budget():
         network_evaluate(theta_network(3, 3, 4), budget=Budget(max_network=2))
     assert str(exc.value) == ("budget 'max_network' exceeded (limit 2, "
                               "needed 5): network contraction too large")
+    # a count, not a timing: dropping the states that a later box kills
+    # leaves these far below the 1,810 and 8,862 pairs of the contraction
+    # that keeps them
+    few = Budget(max_network=300)
+    assert network_evaluate(theta_network(5, 5, 2), budget=few) \
+        == theta(5, 5, 2)
+    assert network_evaluate(necklace_network(5, 6), budget=few) \
+        == RationalFn.of(delta(5))
     # the deadline is checked before each box, so one already passed trips
     past = Budget(deadline=time.monotonic() - 1)
     with pytest.raises(BudgetError) as exc:
@@ -297,3 +317,26 @@ def test_adequate_networks_attain_identity_degree():
     for net in nets:
         val = network_evaluate(net)
         assert val.min_degree() == identity_replacement_degree(net)
+
+
+def _tet_admissible(a, b, e, c, d, f):
+    return all(admissible(*t)
+               for t in ((a, d, e), (b, c, e), (a, b, f), (c, d, f)))
+
+
+def test_tetrahedra_equal_the_kauffman_lins_formula():
+    # six boxes, where states die across several boxes still to come
+    colorings = [t for t in itertools.product(range(4), repeat=6)
+                 if _tet_admissible(*t)]
+    assert len(colorings) == 181
+    for t in colorings:
+        assert network_evaluate(tet_network(*t)) == kl_tet(*t), t
+
+
+def test_trivalent_thetas_equal_the_closed_form():
+    # the second vertex's rotation is the first one reversed
+    for a, b, c in itertools.product(range(4), repeat=3):
+        if admissible(a, b, c):
+            net = trivalent_network([(0, 1, a), (0, 1, b), (0, 1, c)],
+                                    {0: (0, 1, 2), 1: (2, 1, 0)})
+            assert network_evaluate(net) == theta(a, b, c), (a, b, c)
