@@ -47,8 +47,10 @@ def a_polynomial_json(p: LaurentPoly) -> dict:
     """Dense A-form: coefficients[i] belongs to A^(min_exponent + i)."""
     if p.is_zero:
         return {"variable": "A", "min_exponent": 0, "coefficients": []}
-    lo, hi = p.min_degree(), p.max_degree()
-    co = [p.coeff(e) for e in range(lo, hi + 1)]
+    lo = p.min_degree()
+    co = [0] * (p.max_degree() - lo + 1)
+    for e, c in p.terms:
+        co[e - lo] = c
     return {"variable": "A", "min_exponent": lo, "coefficients": co}
 
 
@@ -58,22 +60,22 @@ def q_series_json(p: LaurentPoly) -> dict:
     coefficients[i] belongs to q^((min_exponent + i)/2), and the whole
     series carries one overall sign.
     """
-    q = to_q(p)
-    return {"variable": "q", "sign": q.sign,
-            "min_exponent": q.min_halfq, "coefficients": list(q.coeffs)}
+    s = to_q(p).in_halves()
+    return {"variable": "q", "sign": s.sign,
+            "min_exponent": s.shift_halves, "coefficients": list(s.coeffs)}
 
 
 def _q_text(p: LaurentPoly) -> str:
     """Human q-rendering, ascending exponents; halves shown as e/2."""
-    q = to_q(p)
-    if not q.coeffs:
+    s = to_q(p)
+    if not s.coeffs:
         return "0"
     bits = []
-    for i, c in enumerate(q.coeffs):
+    for i, c in enumerate(s.coeffs):
         if c == 0:
             continue
-        c *= q.sign
-        h = q.min_halfq + i
+        c *= s.sign
+        h = s.shift_halves + s.step_halves * i
         if h == 0:
             core = str(abs(c))
         else:

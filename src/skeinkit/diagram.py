@@ -370,23 +370,6 @@ def apply_state(pd: PDCode, state: Sequence[str]) -> StateCircles:
     )
 
 
-class StateGraph(NamedTuple):
-    """Touch-graph of a smoothing state: one vertex per circle, one edge
-    per crossing connecting the two circles its smoothing strands lie on."""
-
-    circles: int
-    edges: tuple[tuple[int, int], ...]
-
-    @property
-    def has_loop(self) -> bool:
-        return any(u == v for u, v in self.edges)
-
-
-def state_graph(pd: PDCode, state: Sequence[str]) -> StateGraph:
-    sc = apply_state(pd, state)
-    return StateGraph(circles=sc.count, edges=sc.crossing_strands)
-
-
 class AdequacyReport(NamedTuple):
     a_adequate: bool
     b_adequate: bool
@@ -401,13 +384,13 @@ class AdequacyReport(NamedTuple):
 def adequacy(pd: PDCode) -> AdequacyReport:
     """A diagram is A-adequate when no crossing touches the same circle
     twice in the all-A state; likewise for B."""
-    ga = state_graph(pd, all_a(pd))
-    gb = state_graph(pd, all_b(pd))
+    sa = apply_state(pd, all_a(pd))
+    sb = apply_state(pd, all_b(pd))
     return AdequacyReport(
-        a_adequate=not ga.has_loop,
-        b_adequate=not gb.has_loop,
-        a_circles=ga.circles,
-        b_circles=gb.circles,
+        a_adequate=all(u != v for u, v in sa.crossing_strands),
+        b_adequate=all(u != v for u, v in sb.crossing_strands),
+        a_circles=sa.count,
+        b_circles=sb.count,
     )
 
 

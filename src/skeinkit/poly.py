@@ -8,12 +8,11 @@ is built on two types:
 * :class:`RationalFn` — a formal quotient of two of them, kept unreduced
   (no gcd is ever computed; equality is by cross-multiplication).
 
-plus the *q-presentation* (:class:`QPresentation`, :func:`to_q`), which
-factors a polynomial supported on even powers of A into
-
-    sign * A^quarter_shift * (c_0 + c_1 A^-2 + c_2 A^-4 + ...),   c_0 > 0,
-
-so that with q = A^-4 the steps of A^-2 are half-integer steps in q.
+plus :class:`QSeries`, the one type of every q-series.  Throughout,
+q = A^-4, so a step of A^-2 is half a step of q.  :func:`to_q` factors a
+polynomial on even powers of A into a sign, its lowest power of q and
+coefficients c_0 > 0, c_1, ... in whole steps of q when they fit, else
+in half steps.
 """
 
 from __future__ import annotations
@@ -363,55 +362,50 @@ class RationalFn:
         return f"<RationalFn {self}>"
 
 
-class QPresentation(NamedTuple):
-    """A Laurent polynomial on even A-powers, rewritten around q = A^-4.
+class QSeries(NamedTuple):
+    """sign * q^(shift_halves/2) * sum_i coeffs[i] * q^(step_halves*i/2).
 
-    value = sign * A^quarter_shift * sum_i coeffs[i] * A^(-2i)
-
-    Steps of A^-2 are half-integer steps of q, so ``coeffs`` reads off the
-    coefficient list in increasing half-powers of q starting at the lowest
-    q-degree term, which sits at q-exponent -quarter_shift/4.  By
-    construction coeffs[0] > 0 and the last entry is nonzero.
+    ``coeffs[0]`` is positive and ``coeffs[-1]`` nonzero.  ``shift_halves``
+    is the lowest q-exponent, in halves of q; ``step_halves`` is 2 when,
+    that power factored out, every exponent is a whole power of q (as in
+    the colored invariants of knots and links), and 1 when half-powers
+    remain.
     """
 
     sign: int
-    quarter_shift: int
+    shift_halves: int
+    step_halves: int
     coeffs: tuple[int, ...]
 
-    @property
-    def min_halfq(self) -> int:
-        """q-exponent of the first coefficient, in halves of q."""
-        return -self.quarter_shift // 2
+    def coefficient(self, i: int) -> int:
+        """i-th coefficient (0 beyond the end of the series)."""
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    @property
-    def is_q_integral(self) -> bool:
-        """True when all terms land on integer powers of q."""
-        if not self.coeffs:
-            return True
-        if self.min_halfq % 2:
-            return False
-        return all(c == 0 for c in self.coeffs[1::2])
-
-    def q_coeffs(self) -> tuple[int, list[int]]:
-        """(lowest integer q-exponent, coefficient list in steps of q)."""
-        if not self.is_q_integral:
-            raise ExactnessError("series has genuine half-integer q-powers")
-        return self.min_halfq // 2, list(self.coeffs[0::2])
+    def in_halves(self) -> "QSeries":
+        """The same series re-expressed with step 1 (interior zeros)."""
+        if self.step_halves == 1:
+            return self
+        co = [0] * (2 * len(self.coeffs) - 1)
+        co[::2] = self.coeffs
+        return QSeries(self.sign, self.shift_halves, 1, tuple(co))
 
 
-def to_q(p: LaurentPoly) -> QPresentation:
-    """Factor p into its q-presentation.  Requires even support.
+def to_q(p: LaurentPoly) -> QSeries:
+    """The q-series of p, which must have even support.
 
-    The zero polynomial maps to QPresentation(1, 0, ()).
+    The zero polynomial maps to QSeries(1, 0, 2, ()).
     """
-    if p.is_zero:
-        return QPresentation(1, 0, ())
-    if any(e % 2 for e, _ in p.terms):
+    terms = p.terms
+    if not terms:
+        return QSeries(1, 0, 2, ())
+    if any(e % 2 for e, _ in terms):
         raise ExactnessError(
             "polynomial has odd A-exponents; no q-presentation exists")
-    top = p.max_degree()
-    lead = p.coeff(top)
+    top, lead = terms[-1]
     sign = 1 if lead > 0 else -1
-    span = (top - p.min_degree()) // 2
-    coeffs = tuple(sign * p.coeff(top - 2 * i) for i in range(span + 1))
-    return QPresentation(sign, top, coeffs)
+    # A^top is the lowest power of q; A^(top - 2i) lies i half-steps above
+    step = 2 if all((top - e) % 4 == 0 for e, _ in terms) else 1
+    coeffs = [0] * ((top - terms[0][0]) // (2 * step) + 1)
+    for e, c in terms:
+        coeffs[(top - e) // (2 * step)] = sign * c
+    return QSeries(sign, -top // 2, step, tuple(coeffs))

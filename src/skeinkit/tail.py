@@ -10,6 +10,9 @@ series is the *tail* (and, at the other end of the polynomial, the
 
 This module provides the comparison, the extraction of verified stable
 coefficients, and a per-color verification harness used by the CLI.
+Each series is a :class:`skeinkit.poly.QSeries`: with its sign and
+lowest power of q factored out, the series of a knot or of a link
+steps in whole powers of q, and the tail of either is listed in them.
 
 Both compare only the first few coefficients, so each color is asked
 for only those: :func:`skeinkit.jones.reduced_colored_top` returns the
@@ -28,49 +31,16 @@ from typing import NamedTuple
 from .diagram import PDCode, mirror
 from .errors import Budget, BudgetError, InternalError, StabilizationError
 from .jones import reduced_colored_top
-from .poly import LaurentPoly, to_q
-
-
-class QSeries(NamedTuple):
-    """A normalized q-series: sign * q^(shift/2) * sum coeffs[i] q^(step*i/2).
-
-    ``coeffs[0]`` is positive and ``coeffs[-1]`` nonzero; ``step_halves``
-    is 2 when all exponents are whole powers of q (every knot), 1 when
-    half-powers occur (even component count).  ``shift_halves`` is the
-    factored-out lowest exponent, in half-power units.
-    """
-
-    sign: int
-    shift_halves: int
-    step_halves: int
-    coeffs: tuple[int, ...]
-
-    def coefficient(self, i: int) -> int:
-        """i-th normalized coefficient (0 beyond the end of the series)."""
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def in_halves(self) -> "QSeries":
-        """The same series re-expressed with step 1 (interior zeros)."""
-        if self.step_halves == 1:
-            return self
-        co = [0] * (2 * len(self.coeffs) - 1)
-        co[::2] = self.coeffs
-        return QSeries(self.sign, self.shift_halves, 1, tuple(co))
+from .poly import LaurentPoly, QSeries, to_q
 
 
 def normalize(p: LaurentPoly) -> QSeries:
-    """Factor out sign and leading power so the series starts with +c, c > 0.
-
-    Goes through the q-presentation of p, whose first coefficient is
-    positive and last nonzero.  Rejects zero with ValueError.
+    """The q-series of p: sign and lowest power factored out, so that it
+    starts with a positive constant term.  Rejects zero with ValueError.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no normalized series")
-    q = to_q(p)
-    lo = q.min_halfq
-    halves = q.coeffs  # dense in half-q steps starting at lo
-    step = 2 if all(c == 0 for c in halves[1::2]) and lo % 2 == 0 else 1
-    return QSeries(q.sign, lo, step, halves[::step])
+    return to_q(p)
 
 
 def dot_eq(p1, p2, n: int) -> tuple[bool, int | None]:
@@ -80,7 +50,7 @@ def dot_eq(p1, p2, n: int) -> tuple[bool, int | None]:
     of q^e for 0 <= e < n after normalization; first_mismatch is the
     offset of the earliest disagreement anywhere in the two series
     (None when they are identical), measured in steps of the finer of
-    the two series — whole powers of q when both are q-integral.
+    the two series — whole powers of q unless one has half steps.
     """
     s1, s2 = normalize(p1), normalize(p2)
     if s1.step_halves != s2.step_halves:
@@ -189,8 +159,9 @@ def _compare(window_pd: PDCode, prev, cur, n: int, budget: Budget):
                 f"widening colors {n} and {n + 1} holds {held} terms, "
                 f"not more than the {last} before")
         last = held
-        step = min(normalize(p1).step_halves, normalize(p2).step_halves)
-        if mismatch is not None and step * mismatch < 2 * held:
+        # mismatch counts whole powers of q, or halves if a series has
+        # half steps, so mismatch < held puts it inside both windows
+        if mismatch is not None and mismatch < held:
             return ok, mismatch, cur
         prev = _series(window_pd, n, 2 * held, budget)
         cur = _series(window_pd, n + 1, 2 * held, budget)

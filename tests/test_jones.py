@@ -210,8 +210,8 @@ def test_corpus_jones_values():
 
 def test_six_two_jones_row():
     v = to_q(jones_polynomial(catalog_lookup("6_2")))
-    lo, coeffs = v.q_coeffs()
-    assert (lo, coeffs) == (-5, [1, -2, 2, -2, 2, -1, 1])
+    assert v.shift_halves == -10 and v.step_halves == 2
+    assert v.coeffs == (1, -2, 2, -2, 2, -1, 1)
 
 
 def test_jones_is_reduced_two_color():
@@ -245,7 +245,7 @@ def test_two_component_link_colored():
     # (2,4) torus link: half-integer powers appear in the 2-color value
     pd = rational_knot([4], 0)
     q = to_q(reduced_colored(pd, 2))
-    assert q.min_halfq % 2 == 1
+    assert q.shift_halves % 2 == 1
 
 
 def test_reduced_colored_top_is_the_full_top():

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from skeinkit.errors import DegreeError, ExactnessError
 from skeinkit.poly import (
-    A, ONE, ZERO, LaurentPoly, QPresentation, RationalFn,
+    A, ONE, ZERO, LaurentPoly, QSeries, RationalFn,
     exact_divide, to_q,
 )
 
@@ -172,28 +172,28 @@ class TestRationalFn:
 
 
 def _from_q(qp):
-    """The Laurent polynomial that a q-presentation stands for."""
-    return LaurentPoly(tuple((qp.quarter_shift - 2 * i, qp.sign * c)
-                             for i, c in enumerate(qp.coeffs)))
+    """The Laurent polynomial that a q-series stands for (q = A^-4)."""
+    return LaurentPoly(tuple(
+        (-2 * (qp.shift_halves + qp.step_halves * i), qp.sign * c)
+        for i, c in enumerate(qp.coeffs)))
 
 
 class TestQPresentation:
     def test_frozen_example(self):
+        # -A^4 - A^-4 = -(q^-1 + q)
         qp = to_q(LaurentPoly.from_dict({4: -1, -4: -1}))
-        assert qp.sign == -1
-        assert qp.quarter_shift == 4
-        assert qp.coeffs == (1, 0, 0, 0, 1)
-        assert qp.is_q_integral
-        assert qp.q_coeffs() == (-1, [1, 0, 1])
+        assert qp == QSeries(-1, -2, 2, (1, 0, 1))
+        assert qp.in_halves().coeffs == (1, 0, 0, 0, 1)
 
     def test_loop_value(self):
-        qp = to_q(DELTA)
-        assert (qp.sign, qp.quarter_shift, qp.coeffs) == (-1, 2, (1, 0, 1))
-        assert not qp.is_q_integral          # sits on half-integer q powers
+        # -A^2 - A^-2 = -q^(-1/2) (1 + q): a half power, then whole steps
+        assert to_q(DELTA) == QSeries(-1, -1, 2, (1, 1))
+        # A^2 + 1 = q^(-1/2) (1 + q^(1/2)) keeps a half step
+        assert to_q(A * A + 1) == QSeries(1, -1, 1, (1, 1))
 
     def test_zero(self):
         qp = to_q(ZERO)
-        assert qp.coeffs == ()
+        assert qp == QSeries(1, 0, 2, ())
         assert _from_q(qp) == ZERO
 
     def test_odd_support_rejected(self):
@@ -214,13 +214,13 @@ class TestQPresentation:
         assert qp.sign in (1, -1)
 
     def test_coeff_at_halfq(self):
-        qp = to_q(DELTA)  # lowest q term at q^(-1/2): min_halfq = -1
-        assert qp.min_halfq == -1
+        qp = to_q(DELTA).in_halves()  # lowest q term at q^(-1/2)
+        assert qp.shift_halves == -1
         # coefficients at q^(-1/2), q^0, q^(1/2), and none up to q^(99/2)
-        assert qp.coeffs[-1 - qp.min_halfq] == 1
-        assert qp.coeffs[0 - qp.min_halfq] == 0
-        assert qp.coeffs[1 - qp.min_halfq] == 1
-        assert len(qp.coeffs) <= 99 - qp.min_halfq
+        assert qp.coefficient(-1 - qp.shift_halves) == 1
+        assert qp.coefficient(0 - qp.shift_halves) == 0
+        assert qp.coefficient(1 - qp.shift_halves) == 1
+        assert len(qp.coeffs) <= 99 - qp.shift_halves
 
 
 class TestRendering:

@@ -112,10 +112,18 @@ def test_tail_arguments_validated():
 
 
 def test_tail_prefix_consistency():
-    pd = catalog_lookup("3_1")
-    four = tail_extract(pd, 4)
-    for k in (1, 2, 3):
-        assert tail_extract(pd, k) == four[:k]
+    # a knot, and two- and three-component links, on both sides: the
+    # first K terms at K + 1 are the K terms at K, so a link's tail
+    # lists whole powers of q whatever the parity of K
+    for pd in (catalog_lookup("3_1"), rational_knot([4], 0),
+               rational_knot([6], 0), rational_knot([1, 3], 0),
+               rational_knot([2, 2], 0), braid_closure(3, [1, -2] * 3)):
+        for side in ("tail", "head"):
+            prev = tail_extract(pd, 1, side)
+            for k in (2, 3, 4, 5):
+                cur = tail_extract(pd, k, side)
+                assert cur[:k - 1] == prev, (format_pd(pd), side, k)
+                prev = cur
 
 
 def test_head_is_tail_of_mirror():
@@ -223,7 +231,7 @@ def test_windowed_results_equal_full_on_catalog():
 @given(st.lists(st.integers(1, 3), min_size=1, max_size=3)
        .filter(lambda q: sum(q) <= 4), st.integers(0, 1))
 def test_windowed_results_equal_full_on_two_bridge(quotients, hand):
-    # knots and two-component links; links have half-step q-series
+    # knots and two-component links; a link may start at a half power of q
     assert_same_as_full(rational_knot(quotients, hand))
 
 
@@ -233,11 +241,13 @@ def test_windowed_results_equal_full_on_unknot_diagrams():
         assert_same_as_full(rational_knot([1], hand))
 
 
-def test_two_component_links_keep_half_steps():
-    # even color dimensions give half-integer q-powers
+def test_two_component_links_step_in_whole_powers():
+    # even color dimensions give a half-integer lowest power of q, and
+    # whole steps of q once it is factored out
     for quotients in ([2], [4], [1, 3]):
         pd = rational_knot(quotients, 0)
-        assert normalize(reduced_colored(pd, 4)).step_halves == 1
+        s = normalize(reduced_colored(pd, 4))
+        assert s.shift_halves % 2 == 1 and s.step_halves == 2
         assert_same_as_full(pd)
 
 

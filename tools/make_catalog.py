@@ -50,9 +50,8 @@ def pin_6_2():
     want = [1, -2, 2, -2, 2, -1, 1]
     for hand in (0, 1):
         pd = construct.rational_knot([3, 1, 2], hand)
-        q = to_q(jones.reduced_colored(pd, 2))
-        _, coeffs = q.q_coeffs()
-        if coeffs == want:
+        s = to_q(jones.reduced_colored(pd, 2))
+        if s.step_halves == 2 and list(s.coeffs) == want:
             return pd, hand
     raise SystemExit("neither 6_2 chirality matches the pinned N=2 row")
 
