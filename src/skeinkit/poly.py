@@ -236,6 +236,37 @@ def monomial(coeff: int, exp: int) -> LaurentPoly:
     return LaurentPoly.monomial(coeff, exp)
 
 
+def _pack(p: LaurentPoly, lo: int, k: int) -> int:
+    """Kronecker substitution: sum of c * 2^(k*(e - lo)) over p's terms.
+
+    ``lo`` must not exceed p's lowest exponent.  Packing is a ring map,
+    so sums and products of packed values are packed sums and products.
+    """
+    return sum(c << k * (e - lo) for e, c in p.terms)
+
+
+def _unpack(v: int, lo: int, k: int) -> LaurentPoly:
+    """The polynomial packed in v by :func:`_pack` at ``lo`` and ``k``.
+
+    Reads v in balanced base-2^k digits, each in [-2^(k-1), 2^(k-1)), so
+    it is exact when every coefficient of the packed polynomial lies in
+    that range.  k must be at least 2: with k = 1 no digit is positive.
+    """
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    terms = []
+    e = lo
+    while v:
+        d = v & mask
+        v >>= k
+        if d >= half:           # a negative digit borrows from the next
+            d -= mask + 1
+            v += 1
+        if d:
+            terms.append((e, d))
+        e += 1
+    return LaurentPoly._trusted(tuple(terms))
+
+
 def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """Return r with p == q*r, or raise ExactnessError if no such r exists.
 

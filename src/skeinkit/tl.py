@@ -7,9 +7,11 @@ delta = -A^2 - A^-2 in the algebra TL_n.  This module provides:
 
 * :class:`Matching` and its product (:func:`compose`, with loop count),
 * :class:`TLElement`, sparse linear combinations whose coefficients
-  are Laurent-polynomial numerators over one shared denominator; all
-  products and sums stay in polynomial arithmetic, and RationalFn
-  coefficients appear only where values enter or leave an element,
+  are Laurent-polynomial numerators over one shared denominator;
+  RationalFn coefficients appear only where values enter or leave an
+  element, and the element product runs on integers: it packs each
+  factor's numerators once by Kronecker substitution (a polynomial
+  evaluated at a power of two) and unpacks each output numerator once,
 * the Jones-Wenzl idempotents f^(n) by the single-clasp recursion
   f^(n) = sum_{k=1..n} (-1)^(n-k) (Delta_{k-1}/Delta_{n-1})
   (f^(n-1) (x) 1) h_{n-1} ... h_k, whose numerators fall over the
@@ -25,9 +27,10 @@ delta = -A^2 - A^-2 in the algebra TL_n.  This module provides:
   projector with such a cap is zero (Kauffman-Lins, *Temperley-Lieb
   Recoupling Theory*, 1994).
 
-The product, :func:`partial_trace` and the network evaluator glue
-partner arrays and count closed loops with the sweep kernel's surgery
-(``_sweep_py._surgery``), whose byte keys allow 256 points per frame.
+The matching and element products, :func:`partial_trace` and the
+network evaluator glue partner arrays and count closed loops with the
+sweep kernel's surgery (``_sweep_py._surgery``), whose byte keys allow
+256 points per frame.
 
 Boundary points are numbered 0..n-1 along the bottom (left to right)
 and n..2n-1 along the top (left to right); the boundary circle is
@@ -45,7 +48,9 @@ from typing import Iterator, Sequence
 
 from .errors import AdmissibilityError, Budget, PDError
 from ._sweep_py import _repack, _surgery
-from .poly import ONE, ZERO, LaurentPoly, RationalFn, exact_divide
+from .poly import (
+    ONE, ZERO, LaurentPoly, RationalFn, _pack, _unpack, exact_divide,
+)
 from .quantum import admissible, delta
 
 
@@ -203,9 +208,9 @@ class TLElement:
     """A linear combination of matchings: numerators over one denominator.
 
     ``nums`` holds (matching, LaurentPoly numerator) pairs, sorted by
-    matching and without zeros; every coefficient is ``num / den``.  All
-    arithmetic stays in Laurent polynomials.  RationalFn appears only at
-    the edge: :meth:`build` and :meth:`scale` take RationalFn (or int,
+    matching and without zeros; every coefficient is ``num / den``.  Sums
+    and scaling stay in Laurent polynomials, and the product in integers
+    that pack them.  RationalFn appears only at the edge: :meth:`build` and :meth:`scale` take RationalFn (or int,
     LaurentPoly) coefficients, and :attr:`terms` and :meth:`coefficient`
     give them back, unreduced over ``den``.
     """
@@ -279,21 +284,59 @@ class TLElement:
             self.den * c.den)
 
     def __mul__(self, other: "TLElement") -> "TLElement":
-        """Algebra product: other is stacked on top of self."""
+        """Algebra product: other is stacked on top of self.
+
+        Each pair of terms is glued as in :func:`compose`: self's partner
+        bytes, then other's shifted by 2n, joined by one surgery.  The
+        numerators are Kronecker-packed into integers once per factor, so
+        the sums and products per pair are integer operations, and each
+        output numerator is unpacked once.
+        """
         if self.n != other.n:
             raise PDError("strand counts differ")
-        out: dict[Matching, LaurentPoly] = {}
-        for m1, c1 in self.nums:
+        n, half = self.n, self.n // 2
+        closures, dead, table = _stacking(n)    # first: it raises past 64
+        left = [(m, c) for m, c in self.nums if c.terms]
+        right = [(m, c) for m, c in other.nums if c.terms]
+        # Each output numerator is a sum of c1 * c2 * delta^l over pairs,
+        # with l <= n/2 loops closed among the n middle points.  Its
+        # coefficients are at most its 1-norm in size, which is at most
+        # B = sum|c1|_1 * sum|c2|_1 * 2^(n/2), since |delta^l|_1 = 2^l.
+        # Packing evaluates polynomials at 2^k, so the packed sum holds
+        # the output's coefficients as digits of size <= B < 2^(k-1):
+        # balanced base-2^k digits read them back exactly.
+        norm1 = sum(abs(x) for _, c in left for _, x in c.terms)
+        norm2 = sum(abs(x) for _, c in right for _, x in c.terms)
+        k = (norm1 * norm2 << half).bit_length() + 1
+        lo1 = min((c.terms[0][0] for _, c in left), default=0)
+        lo2 = min((c.terms[0][0] for _, c in right), default=0)
+        heads = [(bytes(m.partner), _pack(c, lo1, k)) for m, c in left]
+        tails = [(bytes(2 * n + j for j in m.partner), _pack(c, lo2, k))
+                 for m, c in right]
+        # delta^l packed at -2 * (n/2), at or below its lowest exponent
+        # -2l, so that every pair's product shares one origin
+        deltas = [_pack(_loops(l), -2 * half, k) for l in range(half + 1)]
+        acc: dict[tuple[bytes, int], int] = {}
+        for head, v1 in heads:
             # sum the right factors that land on the same (matching,
-            # loops) first: one polynomial product per group, not per pair
-            groups: dict[tuple[Matching, int], LaurentPoly] = {}
-            for m2, c2 in other.nums:
-                key = compose(m1, m2)
-                groups[key] = groups[key] + c2 if key in groups else c2
-            for (m, loops), c2 in groups.items():
-                c = c1 * (c2 * _loops(loops)) if loops else c1 * c2
-                out[m] = out[m] + c if m in out else c
-        return TLElement._of_nums(self.n, out, self.den * other.den)
+            # loops) first: one product per group, not per pair
+            groups: dict[tuple[bytes, int], int] = {}
+            for tail, v2 in tails:
+                key = _surgery(bytearray(head + tail), closures, dead, table)
+                groups[key] = groups[key] + v2 if key in groups else v2
+            for key, v2 in groups.items():
+                v = v1 * v2
+                acc[key] = acc[key] + v if key in acc else v
+        # delta^l once per (matching, loops), summed over the left terms
+        out: dict[bytes, int] = {}
+        for (key, l), v in acc.items():
+            v *= deltas[l]
+            out[key] = out[key] + v if key in out else v
+        lo = lo1 + lo2 - 2 * half
+        return TLElement._of_nums(
+            n, {Matching._trusted(n, tuple(key)): _unpack(v, lo, k)
+                for key, v in out.items() if v},
+            self.den * other.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TLElement):

@@ -8,7 +8,9 @@ closed projector network into every combination of box terms, the
 Kauffman-Lins formula for a tetrahedral network built from a trivalent
 graph, a walk over the graph of two stacked matchings and a reindexing
 that closes a strand of one (for ``tl.compose`` and
-``tl.partial_trace``, which run the sweep kernel's surgery), the two-term recursion f h f for the
+``tl.partial_trace``, which run the sweep kernel's surgery), the
+TL product in LaurentPoly arithmetic (for the packed integers of
+``TLElement.__mul__``), the two-term recursion f h f for the
 Jones-Wenzl projectors, and the earlier builders of sweep plans,
 cables and tangles (a greedy loop that rescores every crossing at each
 step, and cables and tangles wired through a junction graph).
@@ -28,13 +30,13 @@ from hypothesis import strategies as st
 from skeinkit._sweep_py import _all_a_cuts
 from skeinkit.construct import rational_knot, twist_closure, with_kink
 from skeinkit.diagram import PDCode, SweepPlan, analyze, format_pd, parse_pd
-from skeinkit.errors import BudgetError
+from skeinkit.errors import BudgetError, PDError
 from skeinkit.poly import (
     LaurentPoly, ONE, ZERO, RationalFn, exact_divide, monomial,
 )
 from skeinkit.quantum import delta, delta_factorial
 from skeinkit.tl import (
-    Matching, PlanarNetwork, TLElement, enumerate_matchings, hook,
+    Matching, PlanarNetwork, TLElement, compose, enumerate_matchings, hook,
     jones_wenzl,
 )
 
@@ -351,6 +353,27 @@ def bfs_word_lengths(n: int) -> dict:
                     nxt.append(prod)
         frontier = nxt
     return dist
+
+
+def schoolbook_product(a: TLElement, b: TLElement) -> TLElement:
+    """``TLElement.__mul__`` in LaurentPoly arithmetic, one ``tl.compose``
+    per pair of terms: the right factors that land on one (matching,
+    loops) are summed, then multiplied by the left numerator and by
+    delta per loop."""
+    if a.n != b.n:
+        raise PDError("strand counts differ")
+    out: dict[Matching, LaurentPoly] = {}
+    for m1, c1 in a.nums:
+        groups: dict[tuple[Matching, int], LaurentPoly] = {}
+        for m2, c2 in b.nums:
+            key = compose(m1, m2)
+            groups[key] = groups[key] + c2 if key in groups else c2
+        for (m, loops), c2 in groups.items():
+            c = c1 * (c2 * _DELTA ** loops)
+            out[m] = out[m] + c if m in out else c
+    nums = sorted(((m, c) for m, c in out.items() if not c.is_zero),
+                  key=lambda mc: mc[0].paren_string())
+    return TLElement(a.n, tuple(nums), a.den * b.den)
 
 
 @functools.cache

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from skeinkit.errors import DegreeError, ExactnessError
 from skeinkit.poly import (
     A, ONE, ZERO, LaurentPoly, QSeries, RationalFn,
-    exact_divide, to_q,
+    _pack, _unpack, exact_divide, to_q,
 )
 
 DELTA = LaurentPoly.from_dict({2: -1, -2: -1})
@@ -125,6 +125,23 @@ class TestCanonicalForm:
                           (p.mirror(), {-e: c for e, c in p.as_dict().items()}),
                           (p - m, _reference(p.as_dict(), minus_m, "+"))):
             assert _canonical(got) and got.as_dict() == want
+
+
+class TestPacking:
+    @pytest.mark.parametrize("k", [2, 3, 8, 64])
+    def test_unpack_inverts_pack(self, k):
+        top = 2 ** (k - 1) - 1              # the largest digit either way
+        polys = [
+            ZERO, ONE, -ONE, A, LaurentPoly(((-3, -1),)),
+            LaurentPoly(((-2, -top), (1, 1), (4, top))),
+            LaurentPoly(((0, top), (2, -1), (3, -top))),
+            LaurentPoly(((-1, -top), (5, -top))),
+            LaurentPoly((e, top if e % 2 else -top) for e in range(-4, 5)),
+        ]
+        for p in polys:
+            for lo in ((p.min_degree() if p.terms else 0) - s
+                       for s in (0, 1, 3)):
+                assert _unpack(_pack(p, lo, k), lo, k) == p, (p, lo)
 
 
 class TestExactDivide:

@@ -2,18 +2,19 @@
 
 import itertools
 import math
+import random
 import time
 
 import pytest
 
 from oracles import (
     bfs_word_lengths, expand_network, graph_compose, kl_tet,
-    necklace_network, port_cycles, reindex_trace, tet_network,
-    trivalent_network, two_term_jones_wenzl,
+    necklace_network, port_cycles, reindex_trace, schoolbook_product,
+    tet_network, trivalent_network, two_term_jones_wenzl,
 )
 from skeinkit import tl
 from skeinkit.errors import AdmissibilityError, Budget, BudgetError, PDError
-from skeinkit.poly import A, ONE, RationalFn
+from skeinkit.poly import A, ONE, ZERO, LaurentPoly, RationalFn
 from skeinkit.quantum import admissible, delta, delta_factorial, theta
 from skeinkit.tl import (
     Matching, PlanarNetwork, Port, TLElement, circle_network, compose,
@@ -86,21 +87,77 @@ def test_element_algebra():
     assert TLElement.zero(n) * h1 == TLElement.zero(n)
 
 
-def test_element_distributes():
-    n = 3
-    c = TLElement.identity_element(n)
+def _hook_pairs(n=3):
+    """Two pairs of hook elements: integral, and over unequal
+    denominators, which the projector recursion never produces."""
     integral = (TLElement.of_matching(hook(n, 1), 2),
                 TLElement.of_matching(hook(n, 2), -1))
-    # unequal denominators, which the projector recursion never produces
     mixed = (TLElement.of_matching(hook(n, 1), RationalFn(ONE, delta(1))),
              TLElement.of_matching(hook(n, 2), RationalFn(A * A, delta(2))))
-    for a, b in (integral, mixed):
+    return integral, mixed
+
+
+def test_element_distributes():
+    c = TLElement.identity_element(3)
+    for a, b in _hook_pairs():
         assert (a + b) * c == a * c + b * c
         assert c * (a + b) == c * a + c * b
         assert (a + b) * b == a * b + b * b
         assert b * (a + b) == b * a + b * b
         assert a + b - b == a
         assert a.scale(RationalFn(delta(2), delta(2))) == a
+
+
+def _random_element(rng, n, positive):
+    """Numerators of 1-4 terms on exponents -9..9 and coefficients up to
+    2^64 in size (all positive, or of both signs), over a denominator."""
+    ms = enumerate_matchings(n)
+    lo = 1 if positive else -2 ** 64
+    nums = []
+    for m in rng.sample(ms, rng.randint(1, len(ms))):
+        c = LaurentPoly((rng.randint(-9, 9), rng.randint(lo, 2 ** 64))
+                        for _ in range(rng.randint(1, 4)))
+        nums.append((m, c))
+    nums.sort(key=lambda mc: mc[0].paren_string())
+    return TLElement(n, tuple(nums), rng.choice((ONE, delta(1), -A * A)))
+
+
+def test_product_equals_the_schoolbook_product():
+    # one positive term on one strand: the product's coefficient is the
+    # bound on the packed coefficients itself.  Two caps on four strands
+    # close two loops, and delta^2 = A^-4 + 2 + A^4 takes half the bound
+    c = LaurentPoly(((-5, 2 ** 64 - 1),))
+    caps = compose(hook(4, 1), hook(4, 3))[0]
+    for m, loops in ((Matching.identity(1), 0), (caps, 2)):
+        big = TLElement(m.n, ((m, c),))
+        assert (big * big).nums == ((m, c * c * delta(1) ** loops),)
+    pairs = []
+    for n in range(6):
+        f = jones_wenzl(n)
+        pairs.append((f, f))
+        for i in range(1, n):
+            h = TLElement.of_matching(hook(n, i))
+            pairs += [(h, f), (f, h)]           # these cancel to zero
+    for a, b in _hook_pairs():
+        pairs += itertools.product((a, b, a + b), repeat=2)
+    n = 3
+    f = jones_wenzl(n)
+    # built directly, with a zero numerator that the product must skip
+    holed = TLElement(n, ((Matching.identity(n), ZERO), (hook(n, 1), A)),
+                      delta(1))
+    for x in (TLElement.zero(n), holed):
+        pairs += [(x, f), (f, x), (x, x)]
+    rng = random.Random(40)                 # derandomized
+    for _ in range(80):
+        n, positive = rng.randint(0, 5), rng.random() < 0.4
+        pairs.append((_random_element(rng, n, positive),
+                      _random_element(rng, n, positive)))
+    zeros = 0
+    for a, b in pairs:
+        got, want = a * b, schoolbook_product(a, b)
+        assert got.nums == want.nums and got.den == want.den, (a, b)
+        zeros += want.is_zero
+    assert zeros > 20
 
 
 def test_projector_small():
@@ -188,11 +245,19 @@ def test_gluing_equals_the_graph_walks():
 
 
 def test_compose_fits_byte_keys_up_to_64_strands():
+    # compose and the element product, which glues its own byte keys
     wide = Matching.identity(64)
     assert compose(wide, wide) == (wide, 0)
+    one = TLElement.identity_element(64)
+    assert (one * one).nums == one.nums
     wider = Matching.identity(65)
     with pytest.raises(ValueError, match="frame of 260 ends"):
         compose(wider, wider)
+    one = TLElement.identity_element(65)
+    with pytest.raises(ValueError, match="frame of 260 ends"):
+        one * one
+    with pytest.raises(PDError):
+        TLElement.identity_element(2) * TLElement.identity_element(3)
 
 
 def test_partial_trace_ratio():
